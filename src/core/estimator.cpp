@@ -8,9 +8,13 @@
 namespace ebrc::core {
 
 MovingAverageEstimator::MovingAverageEstimator(std::vector<double> weights)
+    : MovingAverageEstimator(std::make_shared<const std::vector<double>>(std::move(weights))) {}
+
+MovingAverageEstimator::MovingAverageEstimator(std::shared_ptr<const std::vector<double>> weights)
     : weights_(std::move(weights)) {
-  validate_weights(weights_);
-  ring_.assign(weights_.size(), 0.0);
+  if (!weights_) throw std::invalid_argument("estimator: null weight profile");
+  validate_weights(*weights_);
+  ring_.assign(weights_->size(), 0.0);
 }
 
 void MovingAverageEstimator::push(double theta) {
@@ -41,13 +45,14 @@ void MovingAverageEstimator::reset() noexcept {
 void MovingAverageEstimator::recompute() noexcept {
   // theta_{n-l} lives at ring_[(newest_ + l) % L]; accumulate newest-first,
   // exactly like the per-query loops this cache replaced.
-  const std::size_t L = weights_.size();
+  const std::vector<double>& w = *weights_;
+  const std::size_t L = w.size();
   double num = 0.0;
   double mass = 0.0;
   std::size_t slot = newest_;
   for (std::size_t l = 0; l < count_; ++l) {
-    num += weights_[l] * ring_[slot];
-    mass += weights_[l];
+    num += w[l] * ring_[slot];
+    mass += w[l];
     slot = slot + 1 == L ? 0 : slot + 1;
   }
   value_ = num / mass;
@@ -57,8 +62,8 @@ void MovingAverageEstimator::recompute() noexcept {
   const std::size_t n = std::min(count_, L - 1);
   slot = newest_;
   for (std::size_t l = 0; l < n; ++l) {
-    tail += weights_[l + 1] * ring_[slot];
-    tail_mass += weights_[l + 1];
+    tail += w[l + 1] * ring_[slot];
+    tail_mass += w[l + 1];
     slot = slot + 1 == L ? 0 : slot + 1;
   }
   tail_ = tail;
@@ -81,13 +86,13 @@ double MovingAverageEstimator::shifted_tail() const {
 
 double MovingAverageEstimator::open_threshold() const {
   require_history();
-  return (value_ - tail_) / weights_.front();
+  return (value_ - tail_) / weights_->front();
 }
 
 double MovingAverageEstimator::value_with_open(double open_packets) const {
   if (open_packets < 0) throw std::invalid_argument("estimator: open interval must be >= 0");
   require_history();
-  const double with_open = weights_.front() * open_packets + tail_;
+  const double with_open = weights_->front() * open_packets + tail_;
   return std::max(value_, with_open);
 }
 
@@ -106,7 +111,7 @@ double MovingAverageEstimator::value_with_open_discounted(double open_packets,
   // Normalized weighted average with the open interval at full weight and
   // the closed history discounted (RFC 3448 Eq. for I_mean with DF_i); at
   // discount = 1 and full warm-up this reduces to value_with_open().
-  const double w1 = weights_.front();
+  const double w1 = weights_->front();
   const double num = w1 * open_packets + discount * tail_;
   const double den = w1 + discount * tail_mass_;
   return std::max(value_, num / den);

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 namespace ebrc::core {
@@ -22,6 +23,9 @@ class MovingAverageEstimator {
  public:
   /// `weights` must satisfy validate_weights (sum 1, w1 > 0).
   explicit MovingAverageEstimator(std::vector<double> weights);
+  /// Shares an immutable profile (core::shared_tfrc_weights) instead of
+  /// owning a copy: a pool of estimators holds one weight vector in total.
+  explicit MovingAverageEstimator(std::shared_ptr<const std::vector<double>> weights);
 
   /// Records the newly completed loss-event interval theta_n (packets).
   void push(double theta);
@@ -36,10 +40,10 @@ class MovingAverageEstimator {
   void reset() noexcept;
 
   /// True once L intervals have been observed.
-  [[nodiscard]] bool warmed_up() const noexcept { return count_ >= weights_.size(); }
+  [[nodiscard]] bool warmed_up() const noexcept { return count_ >= weights_->size(); }
   [[nodiscard]] std::size_t history_size() const noexcept { return count_; }
-  [[nodiscard]] std::size_t window() const noexcept { return weights_.size(); }
-  [[nodiscard]] const std::vector<double>& weights() const noexcept { return weights_; }
+  [[nodiscard]] std::size_t window() const noexcept { return weights_->size(); }
+  [[nodiscard]] const std::vector<double>& weights() const noexcept { return *weights_; }
 
   /// hat-theta_n = sum_l w_l theta_{n-l}. Before warm-up the observed prefix
   /// is renormalized by the weight mass actually used (TFRC behavior).
@@ -73,7 +77,7 @@ class MovingAverageEstimator {
   /// newest-to-oldest order as the former per-query loops (bit-identity).
   void recompute() noexcept;
 
-  std::vector<double> weights_;
+  std::shared_ptr<const std::vector<double>> weights_;  // immutable, possibly shared
   std::vector<double> ring_;   // capacity L; ring_[newest_] is theta_n
   std::size_t newest_ = 0;
   std::size_t count_ = 0;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 namespace ebrc::core {
@@ -14,6 +15,11 @@ namespace ebrc::core {
 /// l <= ceil(L/2), then linearly decaying, w_l = 1 - (l - L/2)/(L/2 + 1)
 /// (for L = 8: 1, 1, 1, 1, .8, .6, .4, .2 — the RFC 3448 profile).
 [[nodiscard]] std::vector<double> tfrc_weights(std::size_t L);
+
+/// tfrc_weights(L) as one immutable process-wide profile per L, for the
+/// estimators of a whole connection pool to share instead of each owning a
+/// copy. Thread-safe.
+[[nodiscard]] std::shared_ptr<const std::vector<double>> shared_tfrc_weights(std::size_t L);
 
 /// Uniform weights 1/L (the plain moving average).
 [[nodiscard]] std::vector<double> uniform_weights(std::size_t L);

@@ -130,4 +130,9 @@ class PftkSimplified final : public ThroughputFunction {
 [[nodiscard]] std::shared_ptr<const ThroughputFunction> make_throughput_function(
     const std::string& name, double rtt_s, double q_s = -1.0, int b = 2);
 
+/// The named formula at r = 1, q = 4r, b = 2 — what make_throughput_function
+/// (name, 1.0) builds — as one immutable process-wide instance per family,
+/// so every packet-level TFRC sender shares it instead of owning a copy.
+[[nodiscard]] const ThroughputFunction& unit_throughput_function(const std::string& name);
+
 }  // namespace ebrc::model

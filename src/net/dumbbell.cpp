@@ -12,27 +12,19 @@ Dumbbell::Dumbbell(sim::Simulator& sim, Queue queue, double rate_bps,
       bottleneck_(sim, std::move(queue), rate_bps, shared_prop_delay_s,
                   [](const Packet&) {}) {}
 
-Dumbbell::Flow::Flow(Dumbbell& owner, double fwd_prop_s, double rev_prop_s)
-    : tail(owner.sim_, fwd_prop_s, [this](const Packet& p) {
-        if (at_receiver) at_receiver(p);
-      }),
-      reverse(owner.sim_, rev_prop_s, [this](const Packet& p) {
-        if (at_sender) at_sender(p);
-      }) {}
-
 int Dumbbell::add_flow(double fwd_prop_s, double rev_prop_s) {
   if (fwd_prop_s < 0 || rev_prop_s < 0) throw std::invalid_argument("Dumbbell: negative delay");
   const int id = static_cast<int>(flows_.size());
-  flows_.emplace_back(*this, fwd_prop_s, rev_prop_s);
+  flows_.emplace_back(sim_, fwd_prop_s, rev_prop_s);
   return id;
 }
 
 void Dumbbell::on_data_at_receiver(int id, PacketHandler h) {
-  flows_.at(static_cast<std::size_t>(id)).at_receiver = std::move(h);
+  flows_.at(static_cast<std::size_t>(id)).tail.set_handler(std::move(h));
 }
 
 void Dumbbell::on_packet_at_sender(int id, PacketHandler h) {
-  flows_.at(static_cast<std::size_t>(id)).at_sender = std::move(h);
+  flows_.at(static_cast<std::size_t>(id)).reverse.set_handler(std::move(h));
 }
 
 void Dumbbell::send_data(int id, Packet p) {

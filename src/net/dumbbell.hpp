@@ -16,12 +16,15 @@
 // bottleneck admission resolves INLINE inside the sender's own emission
 // event (Link::forward — virtual clock, no event), and its one timed hop is
 // the flow's tail pipe, head-chained and pinned. End to end a data packet
-// costs two simulator events (emission + tail delivery) and zero heap
+// costs two simulator events (emission + tail delivery) and, once the
+// flow's pipe rings have grown to its peak in-flight count, zero heap
 // allocations, versus four events and per-packet callback boxes before the
 // overhaul.
 //
 // Each flow registers two handlers: data arriving at its receiver, and
-// ack/feedback arriving back at its sender.
+// ack/feedback arriving back at its sender. They are installed straight into
+// the flow's two pipes, so a delivery is one indirect call into the
+// endpoint, and a flow is its two pipes and nothing else.
 #pragma once
 
 #include <deque>
@@ -64,12 +67,11 @@ class Dumbbell {
 
  private:
   struct Flow {
-    Flow(Dumbbell& owner, double fwd_prop_s, double rev_prop_s);
+    Flow(sim::Simulator& sim, double fwd_prop_s, double rev_prop_s)
+        : tail(sim, fwd_prop_s), reverse(sim, rev_prop_s) {}
 
-    DelayPipe tail;     // post-bottleneck per-flow propagation to the receiver
-    DelayPipe reverse;  // receiver -> sender return path
-    PacketHandler at_receiver;
-    PacketHandler at_sender;
+    DelayPipe tail;     // post-bottleneck propagation; delivers to the receiver
+    DelayPipe reverse;  // receiver -> sender return path; delivers to the sender
   };
 
   sim::Simulator& sim_;

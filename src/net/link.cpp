@@ -10,30 +10,22 @@ DelayPipe::DelayPipe(sim::Simulator& sim, double delay_s, PacketHandler deliver)
     : sim_(sim),
       delay_s_(delay_s),
       deliver_(std::move(deliver)),
-      deliver_ev_(sim.pin([this] { deliver_head(); })),
-      flight_(32) {
+      deliver_ev_(sim.pin([this] { deliver_head(); })) {
   if (delay_s < 0) throw std::invalid_argument("DelayPipe: negative delay");
-  if (!deliver_) throw std::invalid_argument("DelayPipe: null delivery handler");
 }
 
 void DelayPipe::send_at(const Packet& p, double deliver_at) {
   assert(flight_.empty() || deliver_at >= flight_.at_offset(flight_.size() - 1).deliver_at);
+  const bool idle = flight_.empty();  // no delivery armed yet
   flight_.push_back(InFlight{p, deliver_at});
-  if (!delivery_armed_) {
-    delivery_armed_ = true;
-    sim_.schedule_pinned_at(deliver_at, deliver_ev_);
-  }
+  if (idle) sim_.schedule_pinned_at(deliver_at, deliver_ev_);
 }
 
 void DelayPipe::deliver_head() {
   const Packet p = flight_.front().pkt;
   flight_.pop_front();
-  if (!flight_.empty()) {
-    sim_.schedule_pinned_at(flight_.front().deliver_at, deliver_ev_);
-  } else {
-    delivery_armed_ = false;
-  }
-  deliver_(p);
+  if (!flight_.empty()) sim_.schedule_pinned_at(flight_.front().deliver_at, deliver_ev_);
+  if (deliver_) deliver_(p);
 }
 
 Link::Link(sim::Simulator& sim, Queue queue, double rate_bps, double prop_delay_s,

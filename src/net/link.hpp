@@ -16,8 +16,12 @@
 // in-flight packet's delivery is armed in the kernel at any time (FIFO
 // departure times never decrease, so the chain never schedules into the
 // past), the closure is registered once via Simulator::pin (zero slab
-// traffic per packet), and the packet itself waits in the pipe's ring — zero
-// heap allocations and one 56-byte copy per hop.
+// traffic per packet), and the packet itself waits in the pipe's ring — one
+// 56-byte copy per hop. The ring is not pre-sized: it allocates at the first
+// packet and doubles from 2 entries as the pipe's in-flight population sets
+// new highs, so an idle pipe (most of a million-flow pool) costs no ring
+// storage at all, and once every pipe has seen its peak the steady state
+// allocates nothing.
 #pragma once
 
 #include "net/packet.hpp"
@@ -38,7 +42,10 @@ using PacketHandler = sim::InlineFunction<void(const Packet&), 48>;
 /// propagation segments), also used as the staging stage behind a Link.
 class DelayPipe {
  public:
-  DelayPipe(sim::Simulator& sim, double delay_s, PacketHandler deliver);
+  /// A pipe without a handler drops what it delivers until set_handler()
+  /// installs one: a Dumbbell wires a flow's pipes before the connection
+  /// that receives on them registers.
+  DelayPipe(sim::Simulator& sim, double delay_s, PacketHandler deliver = nullptr);
 
   // The constructor pins a this-capturing callback into the simulator; a
   // copied or moved instance would leave that closure firing on the old
@@ -55,6 +62,9 @@ class DelayPipe {
 
   [[nodiscard]] double delay() const noexcept { return delay_s_; }
 
+  /// Replaces the delivery handler (the flow's receiver or sender endpoint).
+  void set_handler(PacketHandler deliver) noexcept { deliver_ = std::move(deliver); }
+
  private:
   void deliver_head();
 
@@ -66,9 +76,10 @@ class DelayPipe {
   sim::Simulator& sim_;
   double delay_s_;
   PacketHandler deliver_;
-  sim::Simulator::PinnedEvent deliver_ev_;  // pinned: zero slab traffic per packet
-  util::RingBuffer<InFlight> flight_;
-  bool delivery_armed_ = false;
+  // Pinned: zero slab traffic per packet. Armed exactly while `flight_` is
+  // non-empty, so the ring's emptiness is the chain guard.
+  sim::Simulator::PinnedEvent deliver_ev_;
+  util::RingBuffer<InFlight> flight_;  // unsized: grows on use
 };
 
 /// RCP router parameters (Balakrishnan–Dukkipati–McKeown). The router keeps

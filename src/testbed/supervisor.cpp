@@ -5,6 +5,7 @@
 #include <signal.h>
 #include <sys/prctl.h>
 #include <sys/resource.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -18,7 +19,6 @@
 #include <cstring>
 #include <iostream>
 #include <stdexcept>
-#include <thread>
 
 #include "util/json_escape.hpp"
 
@@ -59,6 +59,20 @@ bool drain_pipe(int fd, std::string& tail, std::size_t limit) {
     if (errno == EINTR) continue;
     return false;  // unexpected read error: treat as closed
   }
+}
+
+/// Re-check cadence for the reap when the kernel offers no pidfd.
+constexpr int kFallbackPollMs = 10;
+
+/// A descriptor that polls readable once `pid` has exited, or -1 when the
+/// kernel lacks pidfd_open (Linux < 5.3).
+int open_pidfd(pid_t pid) {
+#ifdef SYS_pidfd_open
+  return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+#else
+  (void)pid;
+  return -1;
+#endif
 }
 
 }  // namespace
@@ -169,30 +183,46 @@ WorkerOutcome run_supervised(const std::function<int()>& body, const WorkerLimit
   const auto deadline = t0 + std::chrono::duration_cast<Clock::duration>(
                                  std::chrono::duration<double>(
                                      has_deadline ? limits.deadline_s : 0.0));
+  // One poll() waits on everything that can end a wait: worker output, the
+  // worker's exit (its pidfd turns readable), and the deadline (the poll
+  // timeout). The worker closes the pipe before it becomes reapable, so EOF
+  // alone cannot signal the exit; the pidfd does. Kernels without
+  // pidfd_open fall back to re-checking the reap every kFallbackPollMs.
+  const int pidfd = open_pidfd(pid);
   std::string tail;
   bool pipe_open = true;
   int status = 0;
   rusage ru{};
   for (;;) {
-    if (has_deadline && !out.killed && Clock::now() >= deadline) {
-      ::kill(pid, SIGKILL);
-      out.killed = true;
-    }
     const pid_t r = ::wait4(pid, &status, WNOHANG, &ru);
     if (r == pid) break;
     if (r < 0 && errno != EINTR) break;  // ECHILD: nothing left to reap
-    if (pipe_open) {
-      pollfd p{rfd, POLLIN, 0};
-      if (::poll(&p, 1, /*timeout_ms=*/20) > 0) {
-        pipe_open = drain_pipe(rfd, tail, limits.stderr_tail_bytes);
+    int timeout_ms = -1;
+    if (has_deadline && !out.killed) {
+      const auto left = deadline - Clock::now();
+      if (left <= Clock::duration::zero()) {
+        ::kill(pid, SIGKILL);
+        out.killed = true;
+        continue;
       }
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      timeout_ms = static_cast<int>(
+          std::chrono::ceil<std::chrono::milliseconds>(left).count());
+    }
+    if (pidfd < 0 && (timeout_ms < 0 || timeout_ms > kFallbackPollMs)) {
+      timeout_ms = kFallbackPollMs;
+    }
+    pollfd fds[2];
+    nfds_t n = 0;
+    if (pipe_open) fds[n++] = {rfd, POLLIN, 0};
+    if (pidfd >= 0) fds[n++] = {pidfd, POLLIN, 0};
+    if (::poll(fds, n, timeout_ms) > 0 && pipe_open && fds[0].revents != 0) {
+      pipe_open = drain_pipe(rfd, tail, limits.stderr_tail_bytes);
     }
   }
   // The pipe buffer can still hold the worker's last words after the reap.
   if (pipe_open) drain_pipe(rfd, tail, limits.stderr_tail_bytes);
   ::close(rfd);
+  if (pidfd >= 0) ::close(pidfd);
 
   out.elapsed_s = std::chrono::duration<double>(Clock::now() - t0).count();
   out.max_rss_kb = ru.ru_maxrss;

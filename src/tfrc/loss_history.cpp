@@ -8,6 +8,10 @@ namespace ebrc::tfrc {
 LossHistory::LossHistory(std::vector<double> weights, bool comprehensive, bool discounting)
     : estimator_(std::move(weights)), comprehensive_(comprehensive), discounting_(discounting) {}
 
+LossHistory::LossHistory(std::shared_ptr<const std::vector<double>> weights, bool comprehensive,
+                         bool discounting)
+    : estimator_(std::move(weights)), comprehensive_(comprehensive), discounting_(discounting) {}
+
 void LossHistory::on_packet(std::int64_t missing_before, double now, double rtt) {
   if (missing_before < 0) throw std::invalid_argument("LossHistory: negative gap");
   if (missing_before > 0) {

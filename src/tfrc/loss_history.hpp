@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/estimator.hpp"
@@ -25,6 +26,9 @@ class LossHistory {
   /// max(0.5, 2 I_mean / I_0) so the rate recovers faster after a loss-free
   /// stretch (an extension the paper's analysis deliberately omits).
   LossHistory(std::vector<double> weights, bool comprehensive, bool discounting = false);
+  /// Same, over a shared immutable profile (core::shared_tfrc_weights).
+  LossHistory(std::shared_ptr<const std::vector<double>> weights, bool comprehensive,
+              bool discounting = false);
 
   /// Feeds one arrived packet. `missing_before` is how many sequence numbers
   /// were skipped right before this packet (0 when in order); `now` the

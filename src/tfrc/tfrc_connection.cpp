@@ -26,10 +26,10 @@ TfrcConnection::TfrcConnection(net::Dumbbell& net, int flow_id, double base_rtt_
       flow_(flow_id),
       base_rtt_s_(base_rtt_s),
       cfg_(std::move(cfg)),
-      unit_formula_(model::make_throughput_function(cfg_.formula, 1.0)),  // q = 4r implied
+      unit_formula_(&model::unit_throughput_function(cfg_.formula)),  // q = 4r implied
       send_ev_(net.simulator().pin([this] { send_next(); })),
       feedback_ev_(net.simulator().pin([this] { feedback_tick(); })),
-      history_(core::tfrc_weights(cfg_.history_length), cfg_.comprehensive,
+      history_(core::shared_tfrc_weights(cfg_.history_length), cfg_.comprehensive,
                cfg_.history_discounting),
       recorder_(base_rtt_s) {
   if (base_rtt_s <= 0) throw std::invalid_argument("TfrcConnection: base RTT must be > 0");

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -130,7 +129,9 @@ class TfrcConnection {
   int flow_;
   double base_rtt_s_;
   TfrcConfig cfg_;
-  std::shared_ptr<const model::ThroughputFunction> unit_formula_;  // rtt = 1, q = 4
+  // rtt = 1, q = 4: immutable and process-wide, shared by every connection
+  // with the same formula (see model::unit_throughput_function).
+  const model::ThroughputFunction* unit_formula_;
 
   // Pinned per-packet/per-RTT events (pacing and feedback fire constantly;
   // `snd_.running` gates them instead of cancellation).

@@ -2,10 +2,13 @@
 //
 // The network layer keeps every queued, in-service, and in-flight packet in
 // one of these instead of a std::deque: contiguous storage, index-mask
-// addressing, and no per-node allocation. Capacity is fixed up front from
-// the queue's buffer size (round_up_pow2), so the steady state performs zero
-// heap allocations; only a workload whose in-flight population outgrows the
-// initial hint pays a one-time geometric regrowth.
+// addressing, and no per-node allocation. A queue sizes its rings up front
+// from its buffer size (round_up_pow2); an unsized ring allocates nothing
+// until its first push and then doubles from 2 entries, so a million mostly
+// idle per-flow pipes cost a few words each instead of a pre-sized array.
+// Either way the steady state performs zero heap allocations: growth is
+// geometric and one-time, paid only when the in-flight population reaches a
+// new high.
 #pragma once
 
 #include <cassert>
@@ -75,7 +78,7 @@ class RingBuffer {
   }
 
  private:
-  static constexpr std::size_t kMinCapacity = 16;
+  static constexpr std::size_t kMinCapacity = 2;
 
   void reallocate(std::size_t new_capacity) {
     std::vector<T> next(new_capacity);

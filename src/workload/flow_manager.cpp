@@ -56,6 +56,13 @@ FlowManager::FlowManager(net::Dumbbell& net, FlowManagerConfig cfg)
     throw std::invalid_argument("FlowManager: unknown controller '" + w.controller +
                                 "' (expected tfrc | tcp | delay_aimd | rcp)");
   }
+  // Per-slot side state only for the classes admit() can draw: the forced
+  // controller, or whichever of TFRC/TCP the mix gives a nonzero share
+  // (uniform draws lie in [0, 1), so a fraction of 1 never yields TCP).
+  const auto bit = [](FlowClass c) { return 1u << class_index(c); };
+  pools_.limit_classes(forced_cls_ >= 0 ? 1u << forced_cls_
+                                        : (w.tfrc_fraction > 0.0 ? bit(FlowClass::kTfrc) : 0u) |
+                                              (w.tfrc_fraction < 1.0 ? bit(FlowClass::kTcp) : 0u));
   free_.reserve(static_cast<std::size_t>(w.max_concurrent));
   pools_.reserve(static_cast<std::size_t>(w.max_concurrent));
 }
@@ -76,8 +83,7 @@ void FlowManager::begin_epoch() {
   // One contiguous SideState sweep per class; only wired sides dereference a
   // connection. Written once against the Sender concept for the whole zoo.
   for (int c = 0; c < kFlowClasses; ++c) {
-    for (std::size_t i = 0; i < pools_.size(); ++i) {
-      SideState& sd = pools_.side(c, i);
+    for (SideState& sd : pools_.sides(c)) {
       if (sd.conn < 0) continue;
       pools_.with_sender(c, sd.conn, [&sd](const auto& conn) {
         sd.delivered0 = conn.delivered();

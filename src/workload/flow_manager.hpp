@@ -12,8 +12,9 @@
 // its pinned pacing/feedback events and packet handlers registered at that
 // first use and never again. Every later transfer the slot carries merely
 // open()s the existing connection (a state rewind, no construction, no
-// pins, no handler churn). Once every slot has served both classes the pool
-// is saturated: spawning and retiring thousands of further flows performs
+// pins, no handler churn). Once every slot has served both classes and its
+// pipes' rings have grown to their peak in-flight population the pool is
+// saturated: spawning and retiring thousands of further flows performs
 // no heap allocation and registers no new kernel state, which is what keeps
 // the many-flows churn regime running at packet-path speed (asserted by
 // tests/workload_alloc_test.cpp).

@@ -17,11 +17,25 @@
 //                        (24 B each; one cache line carries ~2.6 slots)
 //   SideState[N][]     — per traffic class, the slot's dumbbell wiring and
 //                        epoch counter snapshots (56 B each; the epoch sweep
-//                        walks one class's array contiguously)
+//                        walks one class's array contiguously). Only the
+//                        classes the workload can draw get an array: a 50/50
+//                        TFRC:TCP mix pays 2 x 56 B per slot, a single
+//                        controller 56 B, never 4 x 56 B.
 //   deque<Connection>  — the heavy protocol objects, constructed on demand,
 //                        address-stable forever, referenced from SideState
 //                        by index (never by pointer, so the arrays stay
 //                        trivially copyable)
+//
+// Footprint: at 10^5-10^6 slots the bytes one wired slot holds decide
+// whether a cell fits in memory, so nothing per slot is sized for a load it
+// may never see. A slot's dumbbell flow is just its two pipes, whose rings
+// allocate at their first packet and then grow on use (a pooled flow rarely
+// has more than a couple of packets in flight); TFRC connections share one
+// immutable formula object and weight profile per configuration instead of
+// owning copies; and only the classes the workload can draw get a SideState
+// array. A wired slot of a 50/50 TFRC:TCP pool holds about 1.7 KB in all,
+// simulator reservations included (bench_e2e's workload.bytes_per_slot);
+// tests/workload_alloc_test.cpp holds the line with a per-slot byte budget.
 //
 // Four traffic classes ride the pool (FlowClass): TFRC and TCP from the
 // paper, plus the PR 9 controller zoo — delay-based AIMD and RCP. All four
@@ -94,17 +108,27 @@ class FlowPools {
  public:
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
 
+  /// Keeps SideState arrays only for the classes in `mask` (bit c is
+  /// FlowClass c): the ones the workload can actually draw. Call before the
+  /// first add_slot(); a class left out has an empty array and must never
+  /// be wired.
+  void limit_classes(unsigned mask) noexcept { classes_ = mask; }
+
   /// Pre-sizes the SoA arrays (not the connection pools — those are built
   /// lazily, one per slot-side actually exercised).
   void reserve(std::size_t n) {
     slots_.reserve(n);
-    for (auto& s : sides_) s.reserve(n);
+    for (int c = 0; c < kFlowClasses; ++c) {
+      if (has_class(c)) sides_[c].reserve(n);
+    }
   }
 
   /// Appends an empty slot (all sides unwired) and returns its id.
   std::size_t add_slot() {
     slots_.emplace_back();
-    for (auto& s : sides_) s.emplace_back();
+    for (int c = 0; c < kFlowClasses; ++c) {
+      if (has_class(c)) sides_[c].emplace_back();
+    }
     return slots_.size() - 1;
   }
 
@@ -114,7 +138,9 @@ class FlowPools {
   [[nodiscard]] const SideState& side(int cls, std::size_t i) const noexcept {
     return sides_[cls][i];
   }
-  /// The whole per-class array, for contiguous epoch sweeps.
+  /// The whole per-class array, for contiguous epoch sweeps (empty for a
+  /// class the workload cannot draw).
+  [[nodiscard]] std::vector<SideState>& sides(int cls) noexcept { return sides_[cls]; }
   [[nodiscard]] const std::vector<SideState>& sides(int cls) const noexcept {
     return sides_[cls];
   }
@@ -182,6 +208,9 @@ class FlowPools {
   }
 
  private:
+  [[nodiscard]] bool has_class(int cls) const noexcept { return (classes_ >> cls) & 1u; }
+
+  unsigned classes_ = (1u << kFlowClasses) - 1;  // classes with a SideState array
   std::vector<SlotState> slots_;
   std::vector<SideState> sides_[kFlowClasses];
   std::deque<tfrc::TfrcConnection> tfrc_;  // deque: connections never relocate

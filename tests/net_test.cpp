@@ -270,6 +270,46 @@ TEST(DelayPipe, FifoAcrossManyInFlight) {
   for (int i = 0; i < 300; ++i) EXPECT_EQ(seqs[static_cast<std::size_t>(i)], i);
 }
 
+TEST(DelayPipe, EmptyRingGrowsThroughABurstInFifoOrder) {
+  // A pipe's ring is unsized until its first packet and then doubles from
+  // 2 entries. Three packets go in and two come out first, so the head sits
+  // mid-ring; then a 100-packet burst lands in one instant and forces every
+  // regrowth (2 -> 4 -> ... -> 128) over a wrapped run. Delivery must stay
+  // FIFO and each packet must leave exactly one delay after it entered.
+  Simulator sim;
+  std::vector<std::int64_t> seqs;
+  std::vector<double> at;
+  DelayPipe pipe(sim, 0.010, [&](const Packet& p) {
+    seqs.push_back(p.seq);
+    at.push_back(sim.now());
+  });
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule_at(0.004 * i, [&pipe, i] { pipe.send(data_packet(i)); });
+  }
+  sim.schedule_at(0.015, [&pipe] {
+    for (int i = 3; i < 103; ++i) pipe.send(data_packet(i));
+  });
+  sim.run();
+  ASSERT_EQ(seqs.size(), 103u);
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    EXPECT_EQ(seqs[i], static_cast<std::int64_t>(i));
+    EXPECT_DOUBLE_EQ(at[i], i < 3 ? 0.004 * static_cast<double>(i) + 0.010 : 0.025);
+  }
+}
+
+TEST(DelayPipe, DropsUntilAHandlerIsInstalled) {
+  Simulator sim;
+  DelayPipe pipe(sim, 0.001);
+  int got = 0;
+  sim.schedule_at(0.0, [&] { pipe.send(data_packet(0)); });
+  sim.schedule_at(0.5, [&] {
+    pipe.set_handler([&](const Packet&) { ++got; });
+    pipe.send(data_packet(1));
+  });
+  sim.run();
+  EXPECT_EQ(got, 1) << "the packet delivered before set_handler() is dropped";
+}
+
 TEST(Dumbbell, RoutesPerFlowAndMeasuresRtt) {
   Simulator sim;
   Dumbbell net(sim, Queue::drop_tail(100), 10e6, 0.001);

@@ -79,6 +79,31 @@ TEST(RingBuffer, GrowthFromUnsizedDefault) {
   }
 }
 
+TEST(RingBuffer, GrowthFromEmptyStartsAtTwoAndUnwrapsEveryDoubling) {
+  RingBuffer<int> r;  // unsized, as a per-flow pipe's ring is
+  EXPECT_EQ(r.capacity(), 0u);
+  r.push_back(0);
+  EXPECT_EQ(r.capacity(), 2u) << "the first push allocates 2 entries, not more";
+  // Net growth of one element per round with the head always moving, so
+  // the ring is full over a wrapped run each time it doubles.
+  std::vector<std::size_t> capacities{r.capacity()};
+  int next_in = 1;
+  int next_out = 0;
+  while (r.capacity() < 64) {
+    r.push_back(next_in++);
+    r.push_back(next_in++);
+    ASSERT_EQ(r.front(), next_out++);
+    r.pop_front();
+    if (r.capacity() != capacities.back()) capacities.push_back(r.capacity());
+  }
+  EXPECT_EQ(capacities, (std::vector<std::size_t>{2, 4, 8, 16, 32, 64}));
+  while (!r.empty()) {
+    ASSERT_EQ(r.front(), next_out++);
+    r.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
 TEST(RingBuffer, AtOffsetIndexesFromFront) {
   RingBuffer<int> r(8);
   for (int i = 0; i < 6; ++i) r.push_back(i);

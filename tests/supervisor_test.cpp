@@ -4,6 +4,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -140,6 +141,36 @@ TEST(SupervisorTest, WorkerStdoutCannotReachParentStdout) {
   // lands in the captured tail rather than the parent's stdout.
   EXPECT_TRUE(o.ok);
   EXPECT_NE(o.stderr_tail.find("worker stdout noise"), std::string::npos);
+}
+
+TEST(SupervisorTest, LastWordsOfAnInstantExitAreCaptured) {
+  // The worker's output and its exit race: its pipe hits EOF before it is
+  // reapable, and the reap can land while the output still sits in the pipe
+  // buffer. Whichever wins, the tail must hold every byte.
+  for (int i = 0; i < 50; ++i) {
+    const WorkerOutcome o = run_supervised(
+        []() -> int {
+          std::fprintf(stderr, "last words\n");
+          return 0;
+        },
+        {});
+    ASSERT_TRUE(o.ok) << "attempt " << i;
+    ASSERT_EQ(o.stderr_tail, "last words\n") << "attempt " << i;
+  }
+}
+
+TEST(SupervisorTest, InstantExitIsNotHeldBackByAPollingFloor) {
+  // Waking on the worker's exit itself (not a sleep-and-recheck cadence)
+  // makes an empty attempt cost a fork and a reap, well under a
+  // millisecond. The fastest of ten attempts stays far below the 10 ms a
+  // polling loop's sleep would add, even on a loaded host.
+  double fastest = 1e9;
+  for (int i = 0; i < 10; ++i) {
+    const WorkerOutcome o = run_supervised([] { return 0; }, {});
+    ASSERT_TRUE(o.ok);
+    fastest = std::min(fastest, o.elapsed_s);
+  }
+  EXPECT_LT(fastest, 0.005);
 }
 
 TEST(SupervisorTest, RusageIsReaped) {

@@ -10,8 +10,12 @@
 //     permanent, so a per-flow pin is a leak by definition),
 //   * retirement leaks no timers or event chains: after stop() the kernel
 //     drains COMPLETELY, and the pending-event census stays flat across
-//     measurement windows while churn runs.
+//     measurement windows while churn runs,
+//   * a wired slot fits its footprint budget: the shim also tracks live heap
+//     bytes, so a pre-sized ring or a per-connection copy of shared state
+//     cannot creep back into the million-flow path unnoticed.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdint>
@@ -26,32 +30,39 @@
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
+std::atomic<std::int64_t> g_live_bytes{0};  // usable bytes of live blocks
+
+void* counted(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  return p;
+}
+void counted_free(void* p) noexcept {
+  if (p != nullptr) {
+    g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  }
+  std::free(p);
+}
 }  // namespace
 
-void* operator new(std::size_t n) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
+void* operator new(std::size_t n) { return counted(std::malloc(n ? n : 1)); }
 void* operator new[](std::size_t n) { return ::operator new(n); }
 void* operator new(std::size_t n, std::align_val_t al) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
-                                   (n + static_cast<std::size_t>(al) - 1) &
-                                       ~(static_cast<std::size_t>(al) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
+  const auto a = static_cast<std::size_t>(al);
+  return counted(std::aligned_alloc(a, (n + a - 1) & ~(a - 1)));
 }
 void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
 
 namespace {
 
@@ -104,6 +115,37 @@ TEST(WorkloadAlloc, SteadyStateChurnIsAmortizedZeroAllocAndPinFlat) {
   // The pending-event census stays bounded: dead chains are collected, so a
   // tripled horizon may not triple the heap (allow slack for phase noise).
   EXPECT_LT(sim.queue_size(), queue0 * 3 + 64);
+}
+
+TEST(WorkloadAlloc, WiredSlotFootprintStaysUnderBudget) {
+  // A saturated pool as the many-sources regime builds it: arrivals fill
+  // 10k slots within a fraction of a second, a 50/50 TFRC:TCP mix, every
+  // slot wired once (one dumbbell flow, one connection) and almost none of
+  // them with a packet in flight. Everything the cell holds is counted:
+  // simulator, pipes and their pins, connections, SoA pool arrays.
+  constexpr int kSlots = 10000;
+  constexpr double kSlotBudgetBytes = 1600.0;
+  const std::int64_t live0 = g_live_bytes.load(std::memory_order_relaxed);
+  sim::Simulator sim;
+  net::Dumbbell net(sim, net::Queue::drop_tail(100), 15e6, 0.001);
+  workload::FlowManagerConfig cfg;
+  cfg.workload.arrival_rate_per_s = 3.0 * kSlots / 0.2;
+  cfg.workload.mean_size_pkts = 100.0;
+  cfg.workload.max_concurrent = kSlots;
+  cfg.seed = 5;
+  workload::FlowManager mgr(net, cfg);
+  mgr.start(0.0);
+  sim.run_until(0.2);
+  mgr.stop();
+  ASSERT_EQ(mgr.pool_slots(), static_cast<std::size_t>(kSlots));
+
+  const double per_slot =
+      static_cast<double>(g_live_bytes.load(std::memory_order_relaxed) - live0) / kSlots;
+  // Measured at about 1.4 KB: 400 B of dumbbell flow (two unsized pipes
+  // plus their pins), a connection (about 860 B for TFRC, 620 B for TCP),
+  // and 2 x 56 B of side state. Pre-sized 32-entry pipe rings alone would
+  // add 4 KB.
+  EXPECT_LT(per_slot, kSlotBudgetBytes);
 }
 
 TEST(WorkloadAlloc, RetirementLeaksNoTimersKernelDrainsCompletely) {
