@@ -48,6 +48,10 @@ class FlightRecorder {
   /// Records written so far (reads the mapped cursor).
   [[nodiscard]] std::uint64_t cursor() const noexcept { return *ring_.cursor; }
 
+  /// Rewinds the ring to empty, so a later dump holds only what was
+  /// recorded after this call (a persistent worker rewinds at each cell).
+  void reset() noexcept { *ring_.cursor = 0; }
+
   /// Post-mortem: reads `ring_path` (typically after the writing process
   /// died) and renders the tail as text into `out_path`. The dump starts
   /// with a "flight-recorder v1" banner, then one line per record, oldest

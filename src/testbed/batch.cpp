@@ -171,12 +171,13 @@ BatchRunner::BatchRunner(std::size_t jobs) : jobs_(jobs) {
   }
 }
 
-void BatchRunner::dispatch(std::size_t n, void (*invoke)(void*, std::size_t),
+void BatchRunner::dispatch(std::size_t n,
+                           void (*invoke)(void*, std::size_t slot, std::size_t i),
                            void* ctx) const {
   if (n == 0) return;
   const std::size_t workers = std::min(jobs_, n);
   if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) invoke(ctx, i);
+    for (std::size_t i = 0; i < n; ++i) invoke(ctx, 0, i);
     return;
   }
 
@@ -184,14 +185,14 @@ void BatchRunner::dispatch(std::size_t n, void (*invoke)(void*, std::size_t),
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mu;
-  const auto worker = [&] {
+  const auto worker = [&](std::size_t slot) {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       // Stop claiming work once any index has thrown: a failing batch should
       // rethrow in one run's time, not after finishing the whole sweep.
       if (i >= n || failed.load(std::memory_order_relaxed)) return;
       try {
-        invoke(ctx, i);
+        invoke(ctx, slot, i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mu);
         if (!first_error) first_error = std::current_exception();
@@ -202,7 +203,7 @@ void BatchRunner::dispatch(std::size_t n, void (*invoke)(void*, std::size_t),
 
   std::vector<std::thread> pool;
   pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
+  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker, w);
   for (auto& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
 }
@@ -304,107 +305,62 @@ struct WallDeadlineGuard {
   WallDeadlineGuard& operator=(const WallDeadlineGuard&) = delete;
 };
 
-// ---- process-isolated cell execution ----------------------------------------
+// ---- cell attempts ------------------------------------------------------------
 
-/// Writes `payload` via temp + rename so the parent never reads a torn file.
-void write_handoff(const std::filesystem::path& path, const std::string& payload) {
-  namespace fs = std::filesystem;
-  const fs::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.write(payload.data(), static_cast<std::streamsize>(payload.size())) ||
-        !out.flush()) {
-      throw std::runtime_error("worker: cannot write result handoff " + tmp.string());
-    }
-  }
-  fs::rename(tmp, path);
-}
-
-[[nodiscard]] std::optional<ExperimentResult> read_handoff(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string payload((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  return decode_result(payload);
-}
-
-struct WorkerReturn {
-  std::optional<ExperimentResult> result;  // set iff the worker succeeded
-  WorkerOutcome outcome;
-  /// Flight-recorder ring file left behind by a dead worker (empty when the
-  /// recorder was not armed or the attempt succeeded). The parent dumps it
-  /// into the crash bundle and removes it.
-  std::string flight_path;
+/// What one attempt produced. On failure the executor has filled the
+/// caller's CellFailure and names the feed event to emit.
+struct Attempt {
+  std::optional<ExperimentResult> result;  // set iff the attempt succeeded
+  obs::CellTrace trace;                    // in-process cells' full trace
+  long rss_kb = -1;                        // the cell's peak RSS; -1 = unknown
+  std::string_view failure_event = "cell_failed";
 };
 
-/// One supervised attempt of one cell. The forked child re-runs the exact
-/// in-process executor (same code, same seed — bit-identical numbers),
-/// stores through its OWN ResultStore (fork can snapshot the parent's store
-/// mutexes mid-lock; a fresh instance has fresh mutexes and the on-disk
-/// format is concurrent-writer safe), and hands the encoded result back
-/// through a temp+rename file the parent decodes after reaping.
-[[nodiscard]] WorkerReturn run_cell_worker(const Scenario& sc, std::size_t i, int attempt,
-                                           const ResultStore* store, const RunPolicy& policy) {
-  namespace fs = std::filesystem;
-  const fs::path handoff =
-      fs::temp_directory_path() /
-      ("ebrc-cell-" + std::to_string(::getpid()) + "-" + std::to_string(i) + "-" +
-       std::to_string(attempt) + ".handoff");
-  std::error_code ec;
-  fs::remove(handoff, ec);
-  const fs::path store_root = store != nullptr ? store->root() : fs::path{};
-  const std::uint64_t store_salt = store != nullptr ? store->salt() : 0;
-
-  // Crash forensics: whenever a crash dir is configured, the worker arms a
-  // file-backed flight recorder. The mmap is MAP_SHARED, so the kernel's last
-  // executed events survive any way the worker dies — SIGSEGV, abort, even
-  // the supervisor's deadline SIGKILL — via the page cache.
-  const fs::path flight = handoff.string() + ".flight";
-  fs::remove(flight, ec);
-  const bool arm_flight = !policy.crash_dir.empty();
-
-  WorkerLimits limits;
-  limits.deadline_s = policy.cell_deadline_s;
-  WorkerReturn ret;
-  ret.outcome = run_supervised(
-      [&]() -> int {
-        std::unique_ptr<obs::FlightRecorder> recorder;
-        obs::RunObs ro;
-        ro.probe_interval_s = policy.probe_interval_s;
-        ro.probe_capacity = policy.probe_capacity;
-        if (arm_flight) {
-          // Created BEFORE the injections: an attempt that crashes at t=0
-          // still leaves a valid (empty) ring for the bundle.
-          recorder = obs::FlightRecorder::create(flight.string());
-          if (recorder != nullptr) ro.ring = recorder->ring();
-        }
-        fire_cell_injections(i, attempt, /*in_worker=*/true);
-        const ExperimentResult r = run_experiment(sc, &ro);
-        if (!store_root.empty()) {
-          const ResultStore child_store(store_root, store_salt);
-          child_store.store(sc, r);
-        }
-        write_handoff(handoff, encode_result(r));
-        return 0;
-      },
-      limits);
-  if (arm_flight) {
-    if (ret.outcome.ok) {
-      fs::remove(flight, ec);
-    } else {
-      ret.flight_path = flight.string();
+/// One attempt on the pool thread itself.
+[[nodiscard]] Attempt attempt_in_process(const Scenario& sc, std::size_t i, int attempt,
+                                         const RunPolicy& policy, CellFailure& fail) {
+  Attempt a;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    // Arm the cooperative wall deadline before the injections so an
+    // injected in-process hang spins on a live deadline.
+    WallDeadlineGuard deadline_guard(policy.cell_deadline_s);
+    fire_cell_injections(i, attempt, /*in_worker=*/false);
+    // In-process observability: probes sample at policy.probe_interval_s
+    // and the cell's full trace (transfer spans, drop instants, probe
+    // counter tracks) is absorbed into the sweep-wide writer on success.
+    obs::RunObs ro;
+    ro.probe_interval_s = policy.probe_interval_s;
+    ro.probe_capacity = policy.probe_capacity;
+    ro.trace = policy.trace != nullptr ? &a.trace : nullptr;
+    ExperimentResult r = run_experiment(sc, &ro);
+    double elapsed = seconds_since(t0);
+    if (fault::fire(fault::Kind::kDeadlineOverrun, i, attempt)) {
+      elapsed = (policy.cell_deadline_s > 0 ? policy.cell_deadline_s : elapsed) + 1.0;
     }
-  }
-  if (ret.outcome.ok) {
-    ret.result = read_handoff(handoff);
-    if (!ret.result) {
-      // Exited 0 without a readable result: treat as a failed attempt rather
-      // than silently dropping the cell.
-      ret.outcome.ok = false;
-      ret.outcome.stderr_tail += "worker exited 0 but left no readable result handoff\n";
+    fail.elapsed_s = elapsed;
+    if (policy.cell_deadline_s > 0 && elapsed > policy.cell_deadline_s) {
+      fail.timed_out = true;
+      fail.what = "cell exceeded --cell-deadline (" + std::to_string(elapsed) + " s > " +
+                  std::to_string(policy.cell_deadline_s) + " s)";
+      return a;  // a retry may clear a transient stall
     }
+    a.result = std::move(r);
+    return a;
+  } catch (const sim::WallDeadlineError& e) {
+    // The 64k-event poll preempted a cell running past --cell-deadline.
+    fail.elapsed_s = seconds_since(t0);
+    fail.timed_out = true;
+    fail.what = "cell exceeded --cell-deadline (" + std::to_string(fail.elapsed_s) + " s > " +
+                std::to_string(policy.cell_deadline_s) + " s): " + e.what();
+  } catch (const std::exception& e) {
+    fail.elapsed_s = seconds_since(t0);
+    fail.what = e.what();
+  } catch (...) {
+    fail.elapsed_s = seconds_since(t0);
+    fail.what = "unknown exception";
   }
-  fs::remove(handoff, ec);
-  return ret;
+  return a;
 }
 
 /// Condenses a stderr tail into a single-line suffix for CellFailure::what.
@@ -496,6 +452,100 @@ void emit_event(const RunPolicy& policy, std::string_view event, std::size_t i,
   return out;
 }
 
+/// One pool thread's supervised worker, forked before the pool starts and
+/// kept for the whole sweep phase. With crash forensics on, it also owns the
+/// worker's flight-recorder ring: mapped here, inherited by every (re)spawned
+/// worker through the fork, rewound at each cell start, and dumped into a
+/// crashed cell's bundle. The ring's name is unique per process and worker,
+/// so concurrent sweeps in one process never share one.
+class CellWorker {
+ public:
+  CellWorker(const std::vector<Scenario>& scenarios, const RunPolicy& policy)
+      : scenarios_(scenarios),
+        policy_(policy),
+        proc_([this](const WorkerRequest& req) { return serve(req); }) {
+    if (!policy.crash_dir.empty()) {
+      static std::atomic<std::uint64_t> next{0};
+      flight_path_ = (std::filesystem::temp_directory_path() /
+                      ("ebrc-worker-" + std::to_string(::getpid()) + "-" +
+                       std::to_string(next.fetch_add(1)) + ".flight"))
+                         .string();
+      flight_ = obs::FlightRecorder::create(flight_path_);
+    }
+    proc_.spawn();
+  }
+  ~CellWorker() {
+    proc_.retire();
+    std::error_code ec;
+    if (flight_ != nullptr) std::filesystem::remove(flight_path_, ec);
+  }
+  CellWorker(const CellWorker&) = delete;
+  CellWorker& operator=(const CellWorker&) = delete;
+
+  [[nodiscard]] std::size_t spawned() const noexcept { return proc_.spawned(); }
+
+  /// One attempt of cell `i` on this worker; any way the worker can die —
+  /// throw, SIGSEGV, OOM kill, wedge — lands here as a failed Attempt.
+  [[nodiscard]] Attempt run(std::size_t i, int attempt, CellFailure& fail) {
+    Attempt a;
+    WorkerLimits limits;
+    limits.deadline_s = policy_.cell_deadline_s;
+    std::string reply;
+    WorkerOutcome o = proc_.call({i, attempt}, limits, reply);
+    if (o.ok) {
+      a.result = decode_result(reply);
+      if (!a.result) {
+        // The worker's state is suspect: replace it rather than trust it.
+        proc_.retire();  // it exits 0 on the closed channel
+        o.ok = false;
+        o.exit_code = 0;
+        o.stderr_tail += "worker replied with an undecodable result\n";
+      }
+    }
+    fail.elapsed_s = o.elapsed_s;
+    fail.max_rss_kb = o.max_rss_kb;
+    a.rss_kb = o.max_rss_kb;
+    if (a.result) return a;
+    fail.crashed = o.crashed;
+    fail.signal = o.term_signal;
+    fail.timed_out = o.killed;
+    fail.what = o.describe();
+    if (const std::string snippet = tail_snippet(o.stderr_tail); !snippet.empty()) {
+      fail.what += "; stderr: " + snippet;
+    }
+    if (o.crashed || o.killed) {
+      write_crash_bundle(policy_, i, attempt, scenarios_[i], o,
+                         flight_ != nullptr ? flight_path_ : std::string{});
+    }
+    a.failure_event = o.killed ? "cell_killed" : o.crashed ? "cell_crashed" : "cell_failed";
+    return a;
+  }
+
+ private:
+  /// The worker's side of one request: the in-process executor's code path
+  /// (same code, same seed — bit-identical numbers), minus the store.
+  [[nodiscard]] std::string serve(const WorkerRequest& req) const {
+    const auto i = static_cast<std::size_t>(req.cell);
+    obs::RunObs ro;
+    ro.probe_interval_s = policy_.probe_interval_s;
+    ro.probe_capacity = policy_.probe_capacity;
+    if (flight_ != nullptr) {
+      // Rewound before the injections: an attempt that crashes at t=0 still
+      // leaves a valid (empty) ring, and a dump never shows an earlier cell.
+      flight_->reset();
+      ro.ring = flight_->ring();
+    }
+    fire_cell_injections(i, static_cast<int>(req.attempt), /*in_worker=*/true);
+    return encode_result(run_experiment(scenarios_[i], &ro));
+  }
+
+  const std::vector<Scenario>& scenarios_;
+  const RunPolicy& policy_;
+  std::string flight_path_;
+  std::unique_ptr<obs::FlightRecorder> flight_;
+  SupervisedWorker proc_;
+};
+
 }  // namespace
 
 std::vector<ExperimentResult> BatchRunner::run(const std::vector<Scenario>& scenarios,
@@ -524,7 +574,9 @@ std::vector<ExperimentResult> BatchRunner::run(const std::vector<Scenario>& scen
       }
     };
     dispatch(
-        n, [](void* ctx, std::size_t i) { (*static_cast<decltype(probe)*>(ctx))(i); }, &probe);
+        n,
+        [](void* ctx, std::size_t, std::size_t i) { (*static_cast<decltype(probe)*>(ctx))(i); },
+        &probe);
   }
 
   // Phase 2: simulate the misses this shard owns, persisting each result as
@@ -544,15 +596,25 @@ std::vector<ExperimentResult> BatchRunner::run(const std::vector<Scenario>& scen
       ++rep.skipped;
     }
   }
+  // Process isolation: one supervised worker per pool thread, forked here,
+  // before dispatch starts its threads (so a warm sweep forks nothing), and
+  // reaped before run() returns.
+  const bool isolate = policy.isolate == IsolationMode::kProcess;
+  std::vector<std::unique_ptr<CellWorker>> workers;
+  if (isolate) {
+    const std::size_t count = std::min(jobs_, todo.size());
+    for (std::size_t w = 0; w < count; ++w) {
+      workers.push_back(std::make_unique<CellWorker>(scenarios, policy));
+    }
+  }
   std::vector<std::uint8_t> done(n, 0);
   std::mutex failures_mu;
   std::vector<CellFailure> failures;
   std::atomic<std::size_t> retried{0};
-  auto simulate = [&](std::size_t k) {
+  auto simulate = [&](std::size_t slot, std::size_t k) {
     const std::size_t i = todo[k];
     const Scenario& sc = scenarios[i];
     const int attempts_allowed = 1 + std::max(0, policy.max_retries);
-    const bool isolate = policy.isolate == IsolationMode::kProcess;
     CellFailure fail;
     fail.index = i;
     fail.scenario = sc.name;
@@ -574,112 +636,27 @@ std::vector<ExperimentResult> BatchRunner::run(const std::vector<Scenario>& scen
       fail.crashed = false;
       fail.signal = 0;
       emit_event(policy, "cell_start", i, sc, attempt);
-      const auto t0 = std::chrono::steady_clock::now();
-
-      if (isolate) {
-        // Process isolation: the attempt runs in a forked, supervised
-        // worker; any way it can die — throw, SIGSEGV, OOM kill, wedge —
-        // lands here as a WorkerOutcome instead of taking the sweep down.
-        WorkerReturn wr = run_cell_worker(sc, i, attempt, store, policy);
-        fail.elapsed_s = wr.outcome.elapsed_s;
-        fail.max_rss_kb = wr.outcome.max_rss_kb;
-        if (wr.result) {
-          out[i] = std::move(*wr.result);
-          // The worker stored the entry and appended the on-disk index
-          // record itself; admit the key so this process's index agrees.
-          if (store != nullptr) store->admit(sc);
-          done[i] = 1;
-          if (policy.trace != nullptr) {
-            // The worker's in-memory trace buffer died with the worker; the
-            // parent still contributes the attempt span (retries included:
-            // attempt > 0 names itself).
-            obs::CellTrace t;
-            t.span(0.0, sc.duration_s,
-                   attempt > 0 ? "attempt (retry " + std::to_string(attempt) + ")"
-                               : "attempt",
-                   "run");
-            policy.trace->absorb(i, sc.name, std::move(t));
-          }
-          emit_event(policy, "cell_done", i, sc, attempt, wr.outcome.elapsed_s,
-                     wr.outcome.max_rss_kb, {}, obs_json(out[i].obs));
-          return;
-        }
-        fail.crashed = wr.outcome.crashed;
-        fail.signal = wr.outcome.term_signal;
-        fail.timed_out = wr.outcome.killed;
-        fail.what = wr.outcome.describe();
-        if (const std::string snippet = tail_snippet(wr.outcome.stderr_tail);
-            !snippet.empty()) {
-          fail.what += "; stderr: " + snippet;
-        }
-        if (wr.outcome.crashed || wr.outcome.killed) {
-          write_crash_bundle(policy, i, attempt, sc, wr.outcome, wr.flight_path);
-        }
-        if (!wr.flight_path.empty()) {
-          std::error_code flight_ec;
-          std::filesystem::remove(wr.flight_path, flight_ec);
-        }
-        emit_event(policy,
-                   wr.outcome.killed ? "cell_killed"
-                   : wr.outcome.crashed ? "cell_crashed"
-                                        : "cell_failed",
-                   i, sc, attempt, wr.outcome.elapsed_s, wr.outcome.max_rss_kb, fail.what);
-        continue;  // a retry (same seed) may clear a transient crash
-      }
-
-      try {
-        // Arm the cooperative wall deadline before the injections so an
-        // injected in-process hang spins on a live deadline.
-        WallDeadlineGuard deadline_guard(policy.cell_deadline_s);
-        fire_cell_injections(i, attempt, /*in_worker=*/false);
-        // In-process observability: probes sample at policy.probe_interval_s
-        // and the cell's full trace (transfer spans, drop instants, probe
-        // counter tracks) is absorbed into the sweep-wide writer on success.
-        obs::CellTrace cell_trace;
-        obs::RunObs ro;
-        ro.probe_interval_s = policy.probe_interval_s;
-        ro.probe_capacity = policy.probe_capacity;
-        ro.trace = policy.trace != nullptr ? &cell_trace : nullptr;
-        ExperimentResult r = run_experiment(sc, &ro);
-        double elapsed = seconds_since(t0);
-        if (fault::fire(fault::Kind::kDeadlineOverrun, i, attempt)) {
-          elapsed = (policy.cell_deadline_s > 0 ? policy.cell_deadline_s : elapsed) + 1.0;
-        }
-        fail.elapsed_s = elapsed;
-        if (policy.cell_deadline_s > 0 && elapsed > policy.cell_deadline_s) {
-          fail.timed_out = true;
-          fail.what = "cell exceeded --cell-deadline (" + std::to_string(elapsed) + " s > " +
-                      std::to_string(policy.cell_deadline_s) + " s)";
-          emit_event(policy, "cell_failed", i, sc, attempt, elapsed, -1, fail.what);
-          continue;  // a retry may clear a transient stall
-        }
-        out[i] = std::move(r);
+      Attempt a = isolate ? workers[slot]->run(i, attempt, fail)
+                          : attempt_in_process(sc, i, attempt, policy, fail);
+      if (a.result) {
+        out[i] = std::move(*a.result);
         if (store != nullptr) store->store(sc, out[i]);
         done[i] = 1;
         if (policy.trace != nullptr) {
-          cell_trace.span(0.0, sc.duration_s,
-                          attempt > 0 ? "attempt (retry " + std::to_string(attempt) + ")"
-                                      : "attempt",
-                          "run");
-          policy.trace->absorb(i, sc.name, std::move(cell_trace));
+          // An isolated cell's trace buffer lives in its worker, so it
+          // contributes only the attempt span (retries name themselves).
+          a.trace.span(0.0, sc.duration_s,
+                       attempt > 0 ? "attempt (retry " + std::to_string(attempt) + ")"
+                                   : "attempt",
+                       "run");
+          policy.trace->absorb(i, sc.name, std::move(a.trace));
         }
-        emit_event(policy, "cell_done", i, sc, attempt, elapsed, -1, {},
+        emit_event(policy, "cell_done", i, sc, attempt, fail.elapsed_s, a.rss_kb, {},
                    obs_json(out[i].obs));
         return;
-      } catch (const sim::WallDeadlineError& e) {
-        // The 64k-event poll preempted a cell running past --cell-deadline.
-        fail.elapsed_s = seconds_since(t0);
-        fail.timed_out = true;
-        fail.what = "cell exceeded --cell-deadline (" + std::to_string(fail.elapsed_s) +
-                    " s > " + std::to_string(policy.cell_deadline_s) + " s): " + e.what();
-      } catch (const std::exception& e) {
-        fail.elapsed_s = seconds_since(t0);
-        fail.what = e.what();
-      } catch (...) {
-        fail.elapsed_s = seconds_since(t0);
-        fail.what = "unknown exception";
       }
-      emit_event(policy, "cell_failed", i, sc, attempt, fail.elapsed_s, -1, fail.what);
+      // A retry (same seed) may clear a transient failure, stall, or crash.
+      emit_event(policy, a.failure_event, i, sc, attempt, fail.elapsed_s, a.rss_kb, fail.what);
     }
     if (!policy.keep_going) {
       // Fail fast, but never anonymously: a crashing million-cell sweep
@@ -691,8 +668,13 @@ std::vector<ExperimentResult> BatchRunner::run(const std::vector<Scenario>& scen
     failures.push_back(std::move(fail));
   };
   dispatch(
-      todo.size(), [](void* ctx, std::size_t i) { (*static_cast<decltype(simulate)*>(ctx))(i); },
+      todo.size(),
+      [](void* ctx, std::size_t slot, std::size_t k) {
+        (*static_cast<decltype(simulate)*>(ctx))(slot, k);
+      },
       &simulate);
+  for (const auto& w : workers) rep.workers_spawned += w->spawned();
+  workers.clear();  // reaps them: their CPU time is this run's
   for (std::size_t i : todo) {
     if (done[i] != 0) {
       rep.available[i] = 1;

@@ -60,7 +60,7 @@ struct CellFailure {
   bool crashed = false;       // final attempt's worker died on a signal
   int signal = 0;             // the terminating signal when crashed/killed
   double elapsed_s = 0.0;     // wall-clock of the final attempt
-  long max_rss_kb = 0;        // worker peak RSS (process isolation only)
+  long max_rss_kb = 0;        // the attempt's peak RSS (process isolation only)
   std::string what;           // exception what() or the supervisor diagnostic
 };
 
@@ -78,12 +78,13 @@ struct RunPolicy {
   double backoff_base_s = 0;  // sleep base*2^k before retry k+1 (0 = none)
 
   /// kProcess runs every simulated attempt in a forked, supervised worker
-  /// subprocess: a SIGSEGV/OOM-killed/wedged cell becomes a retryable
-  /// CellFailure instead of taking the sweep down, and cell_deadline_s is
-  /// enforced with a hard SIGKILL rather than the cooperative in-process
-  /// poll. Results cross back bit-exactly (encoded double bit patterns), so
-  /// isolation never changes numbers. Cache probes stay in-process either
-  /// way — a warm sweep forks nothing.
+  /// subprocess, one persistent worker per pool thread (supervisor.hpp): a
+  /// SIGSEGV/OOM-killed/wedged cell becomes a retryable CellFailure instead
+  /// of taking the sweep down, its worker is respawned, and cell_deadline_s
+  /// is enforced with a hard SIGKILL rather than the cooperative in-process
+  /// poll. Results cross back bit-exactly (encoded double bit patterns) and
+  /// the parent stores them, so isolation never changes numbers. Cache
+  /// probes stay in-process either way — a warm sweep forks nothing.
   IsolationMode isolate = IsolationMode::kInProcess;
   /// When non-empty, each crashed/killed cell leaves a repro bundle under
   /// <crash_dir>/cell-<index>/ (scenario TOML with the derived seed, the
@@ -105,12 +106,13 @@ struct RunPolicy {
   /// Optional sweep-wide chrome://tracing sink (not owned; must outlive
   /// run()). In-process cells absorb their full trace (transfer spans, drop
   /// instants, probe counter tracks) as they finish; process-isolated cells
-  /// contribute only their attempt span — the worker's buffer dies with the
+  /// contribute only their attempt span — the cell's buffer stays in the
   /// worker's address space.
   obs::TraceWriter* trace = nullptr;
   /// Process-isolated attempts arm an obs::FlightRecorder automatically
-  /// whenever crash_dir is set; a crashed/killed cell's bundle then contains
-  /// flight_recorder.txt with the kernel's last executed events.
+  /// whenever crash_dir is set (one ring per worker, rewound at each cell
+  /// start); a crashed/killed cell's bundle then contains flight_recorder.txt
+  /// with the kernel's last executed events of that cell.
 };
 
 /// What a (possibly cached, possibly sharded) batch run actually did.
@@ -127,6 +129,7 @@ struct SweepReport {
   std::size_t timed_out = 0;  // failed cells whose last attempt hit the deadline
   std::size_t crashed = 0;    // failed cells whose last attempt died on a signal
   std::size_t quarantined = 0;  // corrupt cache entries moved to *.corrupt
+  std::size_t workers_spawned = 0;  // worker processes forked (process isolation)
   std::vector<std::uint8_t> available;  // per-index: result slot populated
   std::vector<CellFailure> failures;    // index-ordered, one per failed cell
 
@@ -239,15 +242,17 @@ class BatchRunner {
     auto body = [&](std::size_t i) { out[i] = fn(i); };
     dispatch(
         n,
-        [](void* ctx, std::size_t i) { (*static_cast<decltype(body)*>(ctx))(i); },
+        [](void* ctx, std::size_t, std::size_t i) { (*static_cast<decltype(body)*>(ctx))(i); },
         &body);
     return out;
   }
 
  private:
   /// Shared work-queue driver behind run() and map(): claims indices off an
-  /// atomic counter and invokes `invoke(ctx, i)` on the worker team.
-  void dispatch(std::size_t n, void (*invoke)(void*, std::size_t), void* ctx) const;
+  /// atomic counter and invokes `invoke(ctx, slot, i)` on the worker team,
+  /// where slot in [0, min(jobs, n)) names the calling thread.
+  void dispatch(std::size_t n, void (*invoke)(void*, std::size_t slot, std::size_t i),
+                void* ctx) const;
 
   std::size_t jobs_;
 };

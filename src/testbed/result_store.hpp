@@ -73,14 +73,6 @@ class ResultStore {
   /// record. Thread-safe.
   void store(const Scenario& s, const ExperimentResult& r) const;
 
-  /// Merges one key into the in-memory index without touching the
-  /// filesystem. Used by the process-isolated sweep path: a worker
-  /// subprocess stores the entry (and appends the on-disk index record)
-  /// through its own ResultStore, so after reaping it the parent admits the
-  /// key here to keep its in-memory index coherent with the disk.
-  /// Thread-safe.
-  void admit(const Scenario& s) const;
-
   /// Where the scenario's entry lives (exposed for tests and tooling).
   [[nodiscard]] std::filesystem::path path_for(const Scenario& s) const;
 

@@ -9,7 +9,10 @@
 //   * a deadline overrun is captured as a timed_out CellFailure,
 //   * fail-fast (the default) rethrows with the cell named,
 //   * the --inject-faults spec parser and the failure-manifest file format
-//     round-trip and reject malformed input.
+//     round-trip and reject malformed input,
+//   * --isolate=process: bit-identity with the in-process run, crash / hang /
+//     oom containment, one persistent worker per pool thread (respawned
+//     after a death), and concurrent isolated sweeps in one process.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -23,6 +26,7 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "testbed/batch.hpp"
@@ -481,6 +485,126 @@ TEST(ProcessIsolation, InjectedOomStormIsContainedAndAttributed) {
       << rep.failures[0].what;
 }
 
+TEST(ProcessIsolation, ConcurrentRunsInOneProcessDoNotCrossResults) {
+  // Two sweeps at once in one process, each over its own batch: every
+  // result must be its own batch's, bit for bit, with no failed cell.
+  std::vector<ebrc::testbed::Scenario> batches[2] = {
+      ebrc::testbed::replicate(short_ns2(0), /*root_seed=*/59, /*reps=*/24),
+      ebrc::testbed::replicate(short_ns2(0), /*root_seed=*/61, /*reps=*/24)};
+  const BatchRunner runner(2);
+  std::vector<ExperimentResult> reference[2] = {runner.run(batches[0]),
+                                                runner.run(batches[1])};
+  RunPolicy policy;
+  policy.keep_going = true;
+  policy.isolate = ebrc::testbed::IsolationMode::kProcess;
+  for (int trial = 0; trial < 3; ++trial) {
+    std::vector<ExperimentResult> out[2];
+    SweepReport rep[2];
+    std::thread other([&] { out[1] = runner.run(batches[1], nullptr, {}, &rep[1], policy); });
+    out[0] = runner.run(batches[0], nullptr, {}, &rep[0], policy);
+    other.join();
+    for (int b = 0; b < 2; ++b) {
+      EXPECT_EQ(rep[b].failed, 0u) << "trial " << trial << " batch " << b;
+      ASSERT_EQ(out[b].size(), reference[b].size());
+      std::size_t crossed = 0;
+      for (std::size_t i = 0; i < out[b].size(); ++i) {
+        if (ebrc::testbed::encode_result(out[b][i]) !=
+            ebrc::testbed::encode_result(reference[b][i])) {
+          ++crossed;
+        }
+      }
+      EXPECT_EQ(crossed, 0u) << "trial " << trial << " batch " << b
+                             << ": cells differ from the in-process run";
+    }
+  }
+}
+
+TEST(ProcessIsolation, CrashedWorkerIsRespawnedAndItsNeighboursStayBitIdentical) {
+  FaultGuard guard;
+  TempDir dir;
+  const auto batch = ebrc::testbed::replicate(short_ns2(0), /*root_seed=*/67, /*reps=*/4);
+  const BatchRunner runner(1);
+  const auto reference = runner.run(batch);
+
+  // One worker serves all four cells; cell 1 aborts it mid-sweep.
+  fault::arm({{fault::Kind::kCrash, 1, fault::kEveryAttempt}});
+  RunPolicy policy;
+  policy.keep_going = true;
+  policy.isolate = ebrc::testbed::IsolationMode::kProcess;
+  policy.crash_dir = (dir.path / "crashes").string();
+  SweepReport rep;
+  const auto out = runner.run(batch, nullptr, ShardSpec{}, &rep, policy);
+
+  EXPECT_EQ(rep.simulated, 3u);
+  ASSERT_EQ(rep.failures.size(), 1u);
+  const CellFailure& f = rep.failures[0];
+  EXPECT_EQ(f.index, 1u);
+  EXPECT_TRUE(f.crashed);
+  EXPECT_EQ(f.signal, SIGABRT);
+  for (const std::size_t i : {0, 2, 3}) {
+    EXPECT_EQ(ebrc::testbed::encode_result(out[i]),
+              ebrc::testbed::encode_result(reference[i]))
+        << "cell " << i << " is not bit-identical to the in-process run";
+  }
+  // The tail is cell 1's own output: nothing carried over from cell 0,
+  // which ran on the same worker.
+  std::ifstream tail_in(dir.path / "crashes" / "cell-1" / "stderr.txt", std::ios::binary);
+  const std::string tail((std::istreambuf_iterator<char>(tail_in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(tail, "injected fault: crash at cell #1 attempt 0\n");
+  EXPECT_NE(f.what.find("; stderr: injected fault: crash at cell #1 attempt 0"),
+            std::string::npos)
+      << f.what;
+  EXPECT_EQ(rep.workers_spawned, 2u) << "one worker, plus one respawn for the crash";
+}
+
+TEST(ProcessIsolation, HungWorkerIsKilledAndTheNextCellRunsOnARespawn) {
+  FaultGuard guard;
+  const auto batch = ebrc::testbed::replicate(short_ns2(0), /*root_seed=*/71, /*reps=*/3);
+  const BatchRunner runner(1);
+  const auto reference = runner.run(batch);
+
+  fault::arm({{fault::Kind::kHang, 1, fault::kEveryAttempt}});
+  RunPolicy policy;
+  policy.keep_going = true;
+  policy.cell_deadline_s = 1.0;
+  policy.isolate = ebrc::testbed::IsolationMode::kProcess;
+  SweepReport rep;
+  const auto out = runner.run(batch, nullptr, ShardSpec{}, &rep, policy);
+
+  EXPECT_EQ(rep.timed_out, 1u);
+  ASSERT_EQ(rep.failures.size(), 1u);
+  EXPECT_EQ(rep.failures[0].index, 1u);
+  EXPECT_TRUE(rep.failures[0].timed_out);
+  EXPECT_EQ(rep.simulated, 2u);
+  ASSERT_EQ(rep.available[2], 1u) << "cell 2 completes after the kill";
+  EXPECT_EQ(ebrc::testbed::encode_result(out[2]), ebrc::testbed::encode_result(reference[2]));
+  EXPECT_EQ(rep.workers_spawned, 2u);
+}
+
+TEST(ProcessIsolation, OneWorkerPerPoolThreadAndNoneForAWarmSweep) {
+  TempDir dir;
+  const auto batch = ebrc::testbed::replicate(short_ns2(0), /*root_seed=*/73, /*reps=*/5);
+  RunPolicy policy;
+  policy.isolate = ebrc::testbed::IsolationMode::kProcess;
+  const ResultStore store(dir.path / "cache");
+
+  SweepReport cold;
+  (void)BatchRunner(2).run(batch, &store, ShardSpec{}, &cold, policy);
+  EXPECT_EQ(cold.simulated, 5u);
+  EXPECT_GE(cold.workers_spawned, 1u);
+  EXPECT_LE(cold.workers_spawned, 2u) << "at most one worker per pool thread";
+
+  SweepReport warm;
+  (void)BatchRunner(2).run(batch, &store, ShardSpec{}, &warm, policy);
+  EXPECT_EQ(warm.hits, 5u);
+  EXPECT_EQ(warm.workers_spawned, 0u) << "a warm sweep forks nothing";
+
+  SweepReport few;
+  (void)BatchRunner(8).run({batch[0]}, nullptr, ShardSpec{}, &few, policy);
+  EXPECT_EQ(few.workers_spawned, 1u) << "no more workers than cells";
+}
+
 // ---- preemptive in-process deadline -----------------------------------------
 
 TEST(InProcessDeadline, EventLoopPollPreemptsARunawayCellMidRun) {
@@ -558,6 +682,31 @@ TEST(EventFeed, SweepEmitsLifecycleEvents) {
   EXPECT_NE(all.find("\"event\":\"retry\""), std::string::npos);
   EXPECT_NE(all.find("\"event\":\"cell_failed\""), std::string::npos);
   EXPECT_NE(all.find("\"detail\":\"injected fault"), std::string::npos);
+}
+
+TEST(EventFeed, IsolatedSweepReportsEachCellsPeakRss) {
+  TempDir dir;
+  const auto batch = ebrc::testbed::replicate(short_ns2(0), /*root_seed=*/79, /*reps=*/3);
+  const fs::path feed_path = dir.path / "events.jsonl";
+  {
+    ebrc::testbed::SweepEventFeed feed(feed_path);
+    RunPolicy policy;
+    policy.isolate = ebrc::testbed::IsolationMode::kProcess;
+    policy.events = &feed;
+    SweepReport rep;
+    (void)BatchRunner(2).run(batch, nullptr, ShardSpec{}, &rep, policy);
+    EXPECT_EQ(rep.simulated, 3u);
+  }
+  std::ifstream in(feed_path);
+  std::size_t done = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"event\":\"cell_done\"") == std::string::npos) continue;
+    ++done;
+    const std::size_t at = line.find("\"rss_kb\":");
+    ASSERT_NE(at, std::string::npos) << line;
+    EXPECT_GT(std::stol(line.substr(at + 9)), 0) << line;
+  }
+  EXPECT_EQ(done, 3u);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 //   * the MAP_SHARED contract: records written before an abort() are
 //     readable from the file afterwards with no flush or handler,
 //   * dump_to_text rejects missing/foreign/truncated files,
+//   * reset() rewinds the ring, so a dump holds only what followed it,
 //   * end-to-end: an --isolate=process sweep with an injected crash leaves a
-//     parseable flight_recorder.txt inside the cell's repro bundle.
+//     parseable flight_recorder.txt, holding only the crashed cell, inside
+//     the cell's repro bundle.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -113,6 +115,35 @@ TEST(FlightRecorderTest, RingOverwriteKeepsTheTail) {
   EXPECT_NE(dump.find("t=10.000000000"), std::string::npos);
 }
 
+TEST(FlightRecorderTest, ResetRewindsTheRingToEmpty) {
+  TempDir dir;
+  const std::string ring_path = (dir.path / "ring.flight").string();
+  auto rec = FlightRecorder::create(ring_path, /*capacity=*/8);
+  ASSERT_NE(rec, nullptr);
+  {
+    ebrc::sim::Simulator sim;
+    sim.set_kernel_ring(rec->ring());
+    for (int i = 0; i < 6; ++i) sim.schedule(1.0 * (i + 1), [] {});
+    sim.run_until(10.0);
+  }
+  EXPECT_EQ(rec->cursor(), 6u);
+
+  // The next cell on the same ring: only its own events survive.
+  rec->reset();
+  EXPECT_EQ(rec->cursor(), 0u);
+  ebrc::sim::Simulator sim;
+  sim.set_kernel_ring(rec->ring());
+  sim.schedule(0.25, [] {});
+  sim.run_until(1.0);
+
+  const std::string out_path = (dir.path / "dump.txt").string();
+  ASSERT_TRUE(FlightRecorder::dump_to_text(ring_path, out_path));
+  const std::string dump = read_file(out_path);
+  EXPECT_NE(dump.find("executed=1 kept=1"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("t=0.250000000"), std::string::npos);
+  EXPECT_EQ(dump.find("t=1.000000000"), std::string::npos) << "the earlier run leaked in";
+}
+
 TEST(FlightRecorderTest, DumpRejectsMissingAndForeignFiles) {
   TempDir dir;
   const std::string out_path = (dir.path / "dump.txt").string();
@@ -183,15 +214,17 @@ TEST(FlightRecorderTest, CrashedIsolatedCellBundleContainsAParseableDump) {
   const std::string dump = read_file(bundle / "flight_recorder.txt");
   EXPECT_NE(dump.find("flight-recorder v1"), std::string::npos);
   EXPECT_NE(dump.find("capacity="), std::string::npos);
-  EXPECT_NE(dump.find("executed="), std::string::npos);
+  // Cell 0 ran on the same worker first, but the ring is rewound at each
+  // cell start, and cell 1 crashed before its simulator executed anything.
+  EXPECT_NE(dump.find("executed=0 kept=0"), std::string::npos) << dump;
 
-  // The temp ring files are cleaned up for crashed and healthy cells alike.
+  // The worker's ring file is removed once the sweep is done.
   std::size_t stray = 0;
   for (const auto& e : fs::directory_iterator(fs::temp_directory_path())) {
     const std::string name = e.path().filename().string();
-    if (name.find("ebrc-cell-" + std::to_string(::getpid())) == 0) ++stray;
+    if (name.find("ebrc-worker-" + std::to_string(::getpid()) + "-") == 0) ++stray;
   }
-  EXPECT_EQ(stray, 0u) << "no handoff/flight temp files left behind";
+  EXPECT_EQ(stray, 0u) << "no flight-recorder ring files left behind";
 }
 
 }  // namespace

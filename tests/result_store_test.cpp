@@ -346,37 +346,6 @@ TEST(ResultStore, IndexAnswersWarmProbesWithoutFilesystemOps) {
   EXPECT_EQ(c.hits, 1u);
 }
 
-TEST(ResultStore, AdmitMergesForeignKeyIntoIndex) {
-  // The process-isolated sweep handoff: a worker subprocess stores an entry
-  // through its OWN ResultStore, so the parent's in-memory index (loaded at
-  // construction, before the entry existed) has never seen the key. Without
-  // admit() the parent's index filters the probe to a miss even though the
-  // bytes are on disk.
-  TempDir dir;
-  ResultStore parent(dir.path);  // constructed first: index snapshot is empty
-  const Scenario s = short_ns2(123);
-  const ExperimentResult fresh = ebrc::testbed::run_experiment(s);
-  {
-    ResultStore worker(dir.path);
-    worker.store(s, fresh);  // writes the entry AND the on-disk index record
-  }
-
-  EXPECT_FALSE(parent.probe(s));
-  EXPECT_FALSE(parent.load(s).has_value());
-  auto c = parent.counters();
-  EXPECT_EQ(c.index_filtered, 1u);
-  EXPECT_EQ(c.fs_probes, 0u) << "a filtered miss must not touch the filesystem";
-
-  parent.admit(s);
-  EXPECT_TRUE(parent.probe(s));
-  const auto cached = parent.load(s);
-  ASSERT_TRUE(cached.has_value());
-  expect_identical(fresh, *cached);
-  c = parent.counters();
-  EXPECT_EQ(c.hits, 1u);
-  EXPECT_EQ(c.fs_probes, 1u) << "the admitted hit reads the worker's bytes";
-}
-
 TEST(ResultStore, TornIndexRecordIsDetectedAndRebuiltFromFilenames) {
   TempDir dir;
   const ExperimentResult canned;

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -17,9 +19,11 @@ namespace {
 
 namespace fs = std::filesystem;
 using ebrc::testbed::IsolationMode;
+using ebrc::testbed::SupervisedWorker;
 using ebrc::testbed::SweepEventFeed;
 using ebrc::testbed::WorkerLimits;
 using ebrc::testbed::WorkerOutcome;
+using ebrc::testbed::WorkerRequest;
 using ebrc::testbed::isolation_from;
 using ebrc::testbed::isolation_name;
 using ebrc::testbed::run_supervised;
@@ -176,6 +180,158 @@ TEST(SupervisorTest, InstantExitIsNotHeldBackByAPollingFloor) {
 TEST(SupervisorTest, RusageIsReaped) {
   const WorkerOutcome o = run_supervised([] { return 0; }, {});
   EXPECT_GT(o.max_rss_kb, 0) << "ru_maxrss of a real process is never zero";
+}
+
+// ---- the persistent worker ----------------------------------------------------
+
+TEST(SupervisedWorkerTest, OneProcessServesEveryRequest) {
+  SupervisedWorker worker([](const WorkerRequest& req) {
+    return std::to_string(::getpid()) + ":" + std::to_string(req.cell) + ":" +
+           std::to_string(req.attempt);
+  });
+  ASSERT_TRUE(worker.spawn());
+  std::string first_pid;
+  for (std::uint64_t cell = 0; cell < 5; ++cell) {
+    std::string reply;
+    const WorkerOutcome o = worker.call({cell, 2}, {}, reply);
+    ASSERT_TRUE(o.ok) << o.describe() << " " << o.stderr_tail;
+    const std::string pid = reply.substr(0, reply.find(':'));
+    EXPECT_NE(pid, std::to_string(::getpid())) << "the request ran in a child";
+    if (cell == 0) first_pid = pid;
+    EXPECT_EQ(pid, first_pid) << "request " << cell << " forked a new worker";
+    EXPECT_EQ(reply.substr(reply.find(':')), ":" + std::to_string(cell) + ":2");
+  }
+  EXPECT_EQ(worker.spawned(), 1u);
+}
+
+TEST(SupervisedWorkerTest, LargeRepliesArriveWhole) {
+  SupervisedWorker worker([](const WorkerRequest& req) {
+    std::string payload(std::size_t{3} << 20, '\0');
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<char>((i * 31 + req.cell) & 0xff);
+    }
+    return payload;
+  });
+  for (std::uint64_t cell = 0; cell < 2; ++cell) {
+    std::string reply;
+    ASSERT_TRUE(worker.call({cell, 0}, {}, reply).ok);
+    ASSERT_EQ(reply.size(), std::size_t{3} << 20);
+    bool same = true;
+    for (std::size_t i = 0; i < reply.size(); ++i) {
+      same = same && reply[i] == static_cast<char>((i * 31 + cell) & 0xff);
+    }
+    EXPECT_TRUE(same) << "reply " << cell << " was corrupted in transit";
+  }
+}
+
+TEST(SupervisedWorkerTest, CrashTailHoldsOnlyTheCrashingRequestsOutput) {
+  // Every request prints on buffered stdout and on stderr; request 1 then
+  // aborts (which may or may not flush its own stdout). Its tail must hold
+  // its own words and nothing of request 0's, buffered or not.
+  SupervisedWorker worker([](const WorkerRequest& req) -> std::string {
+    std::printf("stdout of request %llu\n", static_cast<unsigned long long>(req.cell));
+    std::fprintf(stderr, "stderr of request %llu\n",
+                 static_cast<unsigned long long>(req.cell));
+    if (req.cell == 1) std::abort();
+    return "fine";
+  });
+  std::string reply;
+  const WorkerOutcome first = worker.call({0, 0}, {}, reply);
+  ASSERT_TRUE(first.ok);
+  EXPECT_NE(first.stderr_tail.find("stdout of request 0"), std::string::npos)
+      << first.stderr_tail;
+  EXPECT_NE(first.stderr_tail.find("stderr of request 0"), std::string::npos);
+
+  const WorkerOutcome crash = worker.call({1, 0}, {}, reply);
+  EXPECT_FALSE(crash.ok);
+  EXPECT_TRUE(crash.crashed);
+  EXPECT_EQ(crash.term_signal, SIGABRT);
+  EXPECT_EQ(crash.stderr_tail.find("request 0"), std::string::npos) << crash.stderr_tail;
+  EXPECT_EQ(crash.stderr_tail.rfind("stderr of request 1\n", 0), 0u) << crash.stderr_tail;
+  EXPECT_GT(crash.max_rss_kb, 0) << "a dead worker reports its reaped ru_maxrss";
+
+  const WorkerOutcome after = worker.call({2, 0}, {}, reply);
+  ASSERT_TRUE(after.ok) << "the next request runs on a respawned worker";
+  // stderr is unbuffered; stdout is flushed once the request is done.
+  EXPECT_EQ(after.stderr_tail, "stderr of request 2\nstdout of request 2\n");
+  EXPECT_EQ(worker.spawned(), 2u);
+}
+
+TEST(SupervisedWorkerTest, DeadlineKillIsATimeoutAndTheNextCallRespawns) {
+  SupervisedWorker worker([](const WorkerRequest& req) -> std::string {
+    if (req.cell == 0) {
+      for (;;) std::this_thread::sleep_for(std::chrono::hours(1));
+    }
+    return "ok";
+  });
+  WorkerLimits limits;
+  limits.deadline_s = 0.3;
+  std::string reply;
+  const WorkerOutcome hung = worker.call({0, 0}, limits, reply);
+  EXPECT_FALSE(hung.ok);
+  EXPECT_TRUE(hung.killed);
+  EXPECT_FALSE(hung.crashed) << "a deadline kill must not be misattributed as a crash";
+  EXPECT_EQ(hung.term_signal, SIGKILL);
+  EXPECT_GE(hung.elapsed_s, 0.3);
+  EXPECT_LT(hung.elapsed_s, 30.0);
+
+  const WorkerOutcome next = worker.call({1, 0}, limits, reply);
+  ASSERT_TRUE(next.ok) << next.describe();
+  EXPECT_EQ(reply, "ok");
+  EXPECT_EQ(worker.spawned(), 2u);
+}
+
+TEST(SupervisedWorkerTest, ThrowingRequestEndsTheWorkerWithExitOne) {
+  SupervisedWorker worker([](const WorkerRequest& req) -> std::string {
+    if (req.attempt == 0) throw std::runtime_error("deliberate request failure");
+    return "recovered";
+  });
+  std::string reply;
+  const WorkerOutcome failed = worker.call({7, 0}, {}, reply);
+  EXPECT_FALSE(failed.ok);
+  EXPECT_FALSE(failed.crashed);
+  EXPECT_EQ(failed.exit_code, 1);
+  EXPECT_NE(failed.stderr_tail.find("worker: deliberate request failure"), std::string::npos);
+  ASSERT_TRUE(worker.call({7, 1}, {}, reply).ok);
+  EXPECT_EQ(reply, "recovered");
+}
+
+TEST(SupervisedWorkerTest, ReportsEachRequestsOwnPeakRss) {
+  // Request 0 touches 64 MB and unmaps it; request 1 touches nothing. The
+  // per-request high-water reset keeps request 0's peak out of request 1's.
+  // (mmap, not new: an allocator may keep freed memory resident.)
+  SupervisedWorker worker([](const WorkerRequest& req) -> std::string {
+    if (req.cell == 0) {
+      constexpr std::size_t kBytes = std::size_t{64} << 20;
+      void* block = ::mmap(nullptr, kBytes, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (block == MAP_FAILED) throw std::runtime_error("mmap failed");
+      std::memset(block, 1, kBytes);
+      const char last = static_cast<const char*>(block)[kBytes - 1];
+      ::munmap(block, kBytes);
+      return std::string(1, last);
+    }
+    return "small";
+  });
+  std::string reply;
+  const WorkerOutcome big = worker.call({0, 0}, {}, reply);
+  const WorkerOutcome small = worker.call({1, 0}, {}, reply);
+  ASSERT_TRUE(big.ok);
+  ASSERT_TRUE(small.ok);
+  EXPECT_GT(small.max_rss_kb, 0);
+  EXPECT_GT(big.max_rss_kb, small.max_rss_kb + 32 * 1024)
+      << "big " << big.max_rss_kb << " kB, small " << small.max_rss_kb << " kB";
+}
+
+TEST(SupervisedWorkerTest, RetireReapsAndTheNextCallRespawns) {
+  SupervisedWorker worker([](const WorkerRequest&) { return std::to_string(::getpid()); });
+  std::string before;
+  std::string after;
+  ASSERT_TRUE(worker.call({0, 0}, {}, before).ok);
+  worker.retire();
+  ASSERT_TRUE(worker.call({0, 0}, {}, after).ok);
+  EXPECT_NE(before, after);
+  EXPECT_EQ(worker.spawned(), 2u);
 }
 
 TEST(SignalNameTest, KnownAndUnknown) {
