@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #if defined(__GLIBC__)
+#include <malloc.h>
 #include <stdio_ext.h>
 #endif
 
@@ -188,20 +189,6 @@ void flush_stdio() {
   std::fflush(nullptr);
 }
 
-/// The child end of run_supervised: the body's int return is the exit code.
-[[noreturn]] void run_body(const std::function<int()>& body) {
-  int code = 1;
-  try {
-    code = body();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "worker: %s\n", e.what());
-  } catch (...) {
-    std::fprintf(stderr, "worker: unknown exception\n");
-  }
-  flush_stdio();
-  ::_exit(code);  // never exit(): inherited stdio buffers must not reflush
-}
-
 // ---- the persistent worker's channel ----------------------------------------
 //
 // Request: {u64 cell, i64 attempt}. Reply: {u64 payload bytes, i64 peak rss
@@ -234,8 +221,14 @@ bool send_all(int fd, const void* data, std::size_t n) {
   return true;
 }
 
-/// Starts a new high-water window for this process's resident set.
+/// Starts a new high-water window for this process's resident set: hands
+/// the heap earlier cells freed back to the system, then resets VmHWM to
+/// the current resident set, so no earlier cell's memory counts toward the
+/// next cell's peak.
 void reset_peak_rss() {
+#if defined(__GLIBC__)
+  ::malloc_trim(0);
+#endif
   const int fd = ::open("/proc/self/clear_refs", O_WRONLY | O_CLOEXEC);
   if (fd < 0) return;  // then VmHWM is the peak since the worker began
   (void)!::write(fd, "5", 1);
@@ -333,13 +326,13 @@ struct Reply {
   }
 };
 
-/// The one wait behind every supervised attempt: a poll over the child's
-/// output pipe, its reply channel (persistent workers only), and its pidfd,
-/// with the time left to the deadline as timeout. Returns true once `reply`
-/// is complete while the child lives; false once the child has been reaped,
-/// with `status` and `ru` filled. SIGKILLs the child at the deadline (and
-/// then only the reap ends the wait, even if a reply races the kill).
-bool await_child(const Child& child, Reply* reply, Clock::time_point t0,
+/// The one wait behind every supervised request: a poll over the worker's
+/// output pipe, its reply channel, and its pidfd, with the time left to the
+/// deadline as timeout. Returns true once `reply` is complete while the
+/// worker lives; false once the worker has been reaped, with `status` and
+/// `ru` filled. SIGKILLs the worker at the deadline (and then only the reap
+/// ends the wait, even if a reply races the kill).
+bool await_child(const Child& child, Reply& reply, Clock::time_point t0,
                  const WorkerLimits& limits, std::string& tail, WorkerOutcome& out,
                  int& status, rusage& ru) {
   const bool has_deadline = limits.deadline_s > 0.0;
@@ -351,7 +344,7 @@ bool await_child(const Child& child, Reply* reply, Clock::time_point t0,
   // back to re-checking the reap every kFallbackPollMs.
   bool out_open = true;
   for (;;) {
-    if (reply != nullptr && !out.killed && reply->complete()) {
+    if (!out.killed && reply.complete()) {
       // Whatever the worker printed before replying is already in the pipe.
       drain_pipe(child.out, tail, limits.stderr_tail_bytes);
       return true;
@@ -377,15 +370,15 @@ bool await_child(const Child& child, Reply* reply, Clock::time_point t0,
     nfds_t n = 0;
     const nfds_t out_at = out_open ? n++ : 3;
     if (out_open) fds[out_at] = {child.out, POLLIN, 0};
-    const bool reading = reply != nullptr && reply->open;
+    const bool reading = reply.open;
     const nfds_t reply_at = reading ? n++ : 3;
-    if (reading) fds[reply_at] = {reply->fd, POLLIN, 0};
+    if (reading) fds[reply_at] = {reply.fd, POLLIN, 0};
     if (child.pidfd >= 0) fds[n++] = {child.pidfd, POLLIN, 0};
     if (::poll(fds, n, timeout_ms) <= 0) continue;
     if (out_open && fds[out_at].revents != 0) {
       out_open = drain_pipe(child.out, tail, limits.stderr_tail_bytes);
     }
-    if (reading && fds[reply_at].revents != 0) reply->open = reply->read();
+    if (reading && fds[reply_at].revents != 0) reply.open = reply.read();
   }
   // The pipe buffer can still hold the child's last words after the reap.
   if (out_open) drain_pipe(child.out, tail, limits.stderr_tail_bytes);
@@ -409,22 +402,6 @@ void set_exit_status(WorkerOutcome& out, int status, const rusage& ru) {
 }
 
 }  // namespace
-
-WorkerOutcome run_supervised(const std::function<int()>& body, const WorkerLimits& limits) {
-  WorkerOutcome out;
-  const auto t0 = Clock::now();
-  Child child;
-  if (!fork_child(child, out.stderr_tail, [&] { run_body(body); })) return out;
-  int status = 0;
-  rusage ru{};
-  (void)await_child(child, nullptr, t0, limits, out.stderr_tail, out, status, ru);
-  ::close(child.out);
-  if (child.pidfd >= 0) ::close(child.pidfd);
-  out.elapsed_s = seconds_since(t0);
-  set_exit_status(out, status, ru);
-  out.ok = !out.killed && WIFEXITED(status) && out.exit_code == 0;
-  return out;
-}
 
 SupervisedWorker::SupervisedWorker(Serve serve) : serve_(std::move(serve)) {}
 
@@ -473,7 +450,7 @@ WorkerOutcome SupervisedWorker::call(const WorkerRequest& request, const WorkerL
   int status = 0;
   rusage ru{};
   const Child child{pid_, pidfd_, out_};
-  const bool replied = await_child(child, &r, t0, limits, out.stderr_tail, out, status, ru);
+  const bool replied = await_child(child, r, t0, limits, out.stderr_tail, out, status, ru);
   out.elapsed_s = seconds_since(t0);
   if (replied) {
     out.ok = true;

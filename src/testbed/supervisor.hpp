@@ -33,13 +33,15 @@
 //    the cell in flight; the next request forks a fresh worker. Every
 //    worker is reaped before the sweep returns, so its CPU time lands in
 //    the parent's RUSAGE_CHILDREN.
-//  - rss_kb is the cell's own peak: before each cell the worker resets its
-//    high-water mark (writes 5 to /proc/self/clear_refs) and it replies
+//  - rss_kb is the cell's own peak: before each cell the worker hands the
+//    heap earlier cells freed back to the system (malloc_trim), resets its
+//    high-water mark (writes 5 to /proc/self/clear_refs), and it replies
 //    with VmHWM. A dead worker's rss is its reaped ru_maxrss, which the
-//    reset also confines to the dying cell.
+//    reset also confines to the dying cell. (A sanitizer's allocator keeps
+//    freed memory past malloc_trim, so there it can include earlier cells'.)
 //  - One poll() waits on everything that can end an attempt: the worker's
 //    output pipe, its reply channel, its pidfd, and the deadline (the poll
-//    timeout). The one-shot run_supervised() uses the same wait.
+//    timeout). There is no fork-per-attempt path beside the worker.
 //  - The child's stdout AND stderr are both redirected onto the supervision
 //    pipe, flushed after every cell: the parent's stdout stays
 //    bit-comparable across runs, and a cell's tail never holds output of
@@ -86,7 +88,7 @@ struct WorkerLimits {
 
 /// What happened to one supervised worker.
 struct WorkerOutcome {
-  bool ok = false;       // exited 0 (or, from a persistent worker, replied) in time
+  bool ok = false;       // the worker replied in time
   bool crashed = false;  // died on a signal the supervisor did not send
   bool killed = false;   // SIGKILLed by the supervisor at the deadline
   int exit_code = -1;    // WEXITSTATUS when the worker exited normally
@@ -99,15 +101,6 @@ struct WorkerOutcome {
   /// the 30 s cell deadline", "exited 1", ...).
   [[nodiscard]] std::string describe() const;
 };
-
-/// Forks, runs `body` in the child (its int return becomes the exit code;
-/// an escaping exception prints to stderr and exits 1), and supervises from
-/// the parent: polls the stderr pipe, kills at the deadline, reaps with
-/// rusage. Never throws on worker misbehavior — that is all encoded in the
-/// returned WorkerOutcome (fork/pipe setup failure reports ok = false with
-/// the reason in stderr_tail).
-[[nodiscard]] WorkerOutcome run_supervised(const std::function<int()>& body,
-                                           const WorkerLimits& limits);
 
 /// One request to a persistent worker: run batch cell `cell`, attempt
 /// `attempt`.
@@ -138,9 +131,10 @@ class SupervisedWorker {
   /// for the reply under `limits`. On success the outcome is ok, `reply`
   /// holds the payload, max_rss_kb the worker's peak during this request,
   /// and stderr_tail what it printed meanwhile. Otherwise the worker has
-  /// been reaped, the outcome describes its death exactly as
-  /// run_supervised's would, and the next call respawns. Never throws on
-  /// worker misbehavior.
+  /// been reaped, the outcome describes its death (signal, deadline kill,
+  /// or exit code, with its rusage), and the next call respawns. A fork or
+  /// pipe failure reports ok = false with the reason in stderr_tail. Never
+  /// throws on worker misbehavior.
   [[nodiscard]] WorkerOutcome call(const WorkerRequest& request, const WorkerLimits& limits,
                                    std::string& reply);
 
