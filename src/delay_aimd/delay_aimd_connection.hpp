@@ -10,8 +10,9 @@
 // loss-based metrics cannot, which is the whole point of putting it in the
 // controller matrix.
 //
-// Wire protocol: data packets carry the sender's smoothed RTT as a hint (the
-// receiver paces feedback off it, like TFRC); the receiver sends one
+// Wire protocol (the paced transport, net/paced_connection.hpp): data
+// packets carry the sender's smoothed RTT as a hint (the receiver paces
+// feedback off it); the receiver sends one
 // kFeedback report per RTT with mean_interval = 0 (no loss-interval
 // estimator here), the measured receive rate, and the echo timestamp the
 // sender turns into an RTT sample.
@@ -24,9 +25,7 @@
 #include <cstdint>
 #include <type_traits>
 
-#include "net/dumbbell.hpp"
-#include "stats/loss_events.hpp"
-#include "stats/online.hpp"
+#include "net/paced_connection.hpp"
 #include "util/units.hpp"
 
 namespace ebrc::delay_aimd {
@@ -47,121 +46,64 @@ struct DelayAimdConfig {
   util::TimeDelta initial_threshold = util::TimeDelta::millis(12.5);
   double k_up = 0.01;
   double k_down = 0.00018;
-  /// EWMA coefficient for the RTT estimate (same convention as TFRC).
+  /// EWMA coefficient for the RTT estimate.
   double rtt_smoothing = 0.9;
 };
 
-class DelayAimdConnection {
+/// The delay-AIMD rate law. Reports carry no value of their own
+/// (mean_interval = 0): the law works from the RTT sample and the receive
+/// rate.
+class DelayAimdLaw {
  public:
-  using CompletionFn = sim::InlineFunction<void(), 24>;
+  using Config = DelayAimdConfig;
+  using Report = net::Packet::FeedbackInfo;
+  static constexpr const char* kName = "DelayAimdConnection";
+  static constexpr net::PacketKind kReportKind = net::PacketKind::kFeedback;
+  static constexpr Report net::Packet::*kReport = &net::Packet::fb;
+  static constexpr bool kFirstRttSampleReplacesSrtt = false;
+  static constexpr bool kNeedsRttSample = true;
 
-  DelayAimdConnection(net::Dumbbell& net, int flow_id, double base_rtt_s,
-                      DelayAimdConfig cfg = {});
+  /// Throws std::invalid_argument unless beta lies in (0, 1] and
+  /// increase_factor >= 1.
+  explicit DelayAimdLaw(DelayAimdConfig cfg);
 
-  // Registers this-capturing handlers and pinned events at construction;
-  // the object must stay at its construction address.
-  DelayAimdConnection(const DelayAimdConnection&) = delete;
-  DelayAimdConnection& operator=(const DelayAimdConnection&) = delete;
-
-  void start(double at);
-  void stop();
-
-  // --- pooled lifecycle (Sender concept; see workload/sender.hpp) --------
-  void open(std::uint64_t transfer_packets, CompletionFn on_complete = {});
-  void close();
-  [[nodiscard]] bool active() const noexcept { return snd_.running; }
-  [[nodiscard]] std::uint64_t transfers_completed() const noexcept {
-    return transfers_completed_;
+  [[nodiscard]] net::PacedParams params() const noexcept {
+    return {cfg_.packet_bytes, cfg_.initial_rate, cfg_.min_rate, cfg_.rtt_smoothing};
   }
-
-  // --- measurement -------------------------------------------------------
-  [[nodiscard]] const stats::LossEventRecorder& recorder() const noexcept { return recorder_; }
-  [[nodiscard]] std::uint64_t delivered() const noexcept { return delivered_; }
-  [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
-  [[nodiscard]] double srtt() const noexcept { return snd_.srtt; }
-  [[nodiscard]] const stats::OnlineMoments& rtt_stats() const noexcept { return rtt_stats_; }
-  /// Cumulative queuing-delay telemetry: one sample per feedback, taken as
-  /// (RTT sample - per-transfer min RTT). Survives open()/close() cycles.
-  [[nodiscard]] double queuing_delay_sum_s() const noexcept { return qdelay_sum_s_; }
-  [[nodiscard]] std::uint64_t queuing_delay_samples() const noexcept { return qdelay_samples_; }
-  void reset_counters();
-
-  // --- typed-unit surface --------------------------------------------------
-  [[nodiscard]] util::DataRate target_rate() const noexcept { return snd_.rate; }
-  [[nodiscard]] util::DataRate link_capacity_estimate() const noexcept {
-    return snd_.capacity;
+  // min_rtt and the detector threshold are per-transfer: a pool slot's next
+  // incarnation may live on a different path.
+  void rewind() noexcept {
+    snd_ = SenderState{};
+    snd_.threshold = cfg_.initial_threshold;
+    qdelay_.rewind();
   }
-  [[nodiscard]] util::TimeDelta min_round_trip() const noexcept { return snd_.min_rtt; }
-  [[nodiscard]] util::TimeDelta overuse_threshold() const noexcept { return snd_.threshold; }
+  void reset_counters() noexcept { qdelay_.reset_counters(); }
+  [[nodiscard]] util::DataRate next_rate(const Report& fb, const net::RateSample& s) noexcept;
+  void on_data(const net::Packet&, std::int64_t, double, const net::PacedReceiver&,
+               util::DataRate) noexcept {}
+  [[nodiscard]] double report_value() const noexcept { return 0.0; }
+  [[nodiscard]] const net::QueuingDelayMeter& queuing_delay() const noexcept { return qdelay_; }
 
  private:
   enum class RateState : std::uint8_t { kHold, kIncrease, kDecrease };
 
-  void send_next();
-  void on_feedback(const net::Packet& p);
-  void finish_transfer();
-  void reset_transfer_state();
-  void on_data(const net::Packet& p);
-  void feedback_tick();
-
-  net::Dumbbell& net_;
-  int flow_;
-  double base_rtt_s_;
-  DelayAimdConfig cfg_;
-
-  sim::Simulator::PinnedEvent send_ev_;
-  sim::Simulator::PinnedEvent feedback_ev_;
-
-  /// Per-transfer sender hot state (pacing + rate control + detector). The
-  /// typed units are 8-byte trivially-copyable wrappers, so they live in the
-  /// POD rewind block directly. Chain guards survive the rewind (see
-  /// reset_transfer_state / open).
+  /// Per-transfer rate control and detector state.
   struct SenderState {
-    util::DataRate rate;        // current pacing rate
     util::DataRate capacity;    // link-capacity EWMA (0 = no estimate yet)
     double capacity_var = 0.0;  // EWMA variance of capacity samples (pps^2)
-    double srtt = 0.0;
-    util::TimeDelta min_rtt;    // per-transfer floor (0 = no sample yet)
     util::TimeDelta threshold;  // adaptive overuse threshold
     double last_feedback_time = 0.0;
-    std::int64_t next_seq = 0;
-    std::uint64_t transfer_limit = 0;
-    std::uint64_t transfer_sent = 0;
     RateState state = RateState::kHold;
-    bool running = false;
-    bool pacing_armed = false;
-    bool feedback_armed = false;
   };
-  static_assert(sizeof(SenderState) == 88, "DelayAimd sender hot state outgrew its budget");
-  static_assert(std::is_trivially_copyable_v<SenderState>);
+  static_assert(sizeof(SenderState) == 40 && std::is_trivially_copyable_v<SenderState>);
 
-  /// Per-transfer receiver hot state, same idiom as TFRC's.
-  struct ReceiverState {
-    std::int64_t expected_seq = 0;
-    double rtt_hint = 0.0;
-    double last_feedback_time = 0.0;
-    double last_data_send_time = 0.0;
-    std::uint64_t recv_since_feedback = 0;
-    bool started = false;
-  };
-  static_assert(sizeof(ReceiverState) == 48, "DelayAimd receiver hot state outgrew its budget");
-  static_assert(std::is_trivially_copyable_v<ReceiverState>);
-
+  DelayAimdConfig cfg_;
   SenderState snd_;
-  ReceiverState rcv_;
-
-  std::uint64_t transfers_completed_ = 0;
-  CompletionFn done_;
-
-  // cumulative counters (survive open()/close())
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
-  double qdelay_sum_s_ = 0.0;
-  std::uint64_t qdelay_samples_ = 0;
-
-  stats::LossEventRecorder recorder_;
-  stats::OnlineMoments rtt_stats_;
-  double next_rtt_sample_at_ = 0.0;
+  net::QueuingDelayMeter qdelay_;
 };
 
+using DelayAimdConnection = net::PacedConnection<DelayAimdLaw>;
+
 }  // namespace ebrc::delay_aimd
+
+extern template class ebrc::net::PacedConnection<ebrc::delay_aimd::DelayAimdLaw>;

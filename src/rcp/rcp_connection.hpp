@@ -2,8 +2,9 @@
 // control per the RCP equilibrium analysis. The router on the bottleneck
 // (net::Link with enable_rcp()) computes one fair-share rate for all flows
 // and stamps it into passing data packets; the receiver echoes the stamp
-// once per RTT (kRcpFeedback) and the sender simply paces at the advertised
-// rate — no probing, no loss-driven sawtooth. Until the first stamp arrives
+// once per RTT (kRcpFeedback) over the paced transport
+// (net/paced_connection.hpp) and the sender paces at the advertised rate —
+// no probing, no loss-driven sawtooth. Until the first stamp arrives
 // the sender slow-starts like TFRC (double per feedback, capped at twice the
 // delivered rate).
 //
@@ -17,11 +18,8 @@
 #pragma once
 
 #include <cstdint>
-#include <type_traits>
 
-#include "net/dumbbell.hpp"
-#include "stats/loss_events.hpp"
-#include "stats/online.hpp"
+#include "net/paced_connection.hpp"
 #include "util/units.hpp"
 
 namespace ebrc::rcp {
@@ -30,110 +28,54 @@ struct RcpConfig {
   double packet_bytes = 1000.0;
   util::DataRate initial_rate = util::DataRate::packets_per_second(2.0);
   util::DataRate min_rate = util::DataRate::packets_per_second(0.1);
-  /// EWMA coefficient for the RTT estimate (same convention as TFRC).
+  /// EWMA coefficient for the RTT estimate.
   double rtt_smoothing = 0.9;
 };
 
-class RcpConnection {
+/// The RCP rate law: adopt the router's stamp, slow-start until one arrives.
+/// Its receiver side keeps the stamp of the latest data packet and echoes it
+/// as the report value.
+class RcpLaw {
  public:
-  using CompletionFn = sim::InlineFunction<void(), 24>;
+  using Config = RcpConfig;
+  using Report = net::Packet::RcpInfo;
+  static constexpr const char* kName = "RcpConnection";
+  static constexpr net::PacketKind kReportKind = net::PacketKind::kRcpFeedback;
+  static constexpr Report net::Packet::*kReport = &net::Packet::rcp;
+  static constexpr bool kFirstRttSampleReplacesSrtt = false;
+  static constexpr bool kNeedsRttSample = false;
 
-  RcpConnection(net::Dumbbell& net, int flow_id, double base_rtt_s, RcpConfig cfg = {});
+  explicit RcpLaw(RcpConfig cfg) noexcept : cfg_(cfg) {}
 
-  // Registers this-capturing handlers and pinned events at construction;
-  // the object must stay at its construction address.
-  RcpConnection(const RcpConnection&) = delete;
-  RcpConnection& operator=(const RcpConnection&) = delete;
-
-  void start(double at);
-  void stop();
-
-  // --- pooled lifecycle (Sender concept; see workload/sender.hpp) --------
-  void open(std::uint64_t transfer_packets, CompletionFn on_complete = {});
-  void close();
-  [[nodiscard]] bool active() const noexcept { return snd_.running; }
-  [[nodiscard]] std::uint64_t transfers_completed() const noexcept {
-    return transfers_completed_;
+  [[nodiscard]] net::PacedParams params() const noexcept {
+    return {cfg_.packet_bytes, cfg_.initial_rate, cfg_.min_rate, cfg_.rtt_smoothing};
   }
+  void rewind() noexcept {
+    router_rate_ = 0.0;
+    have_stamp_ = false;
+    qdelay_.rewind();
+  }
+  void reset_counters() noexcept { qdelay_.reset_counters(); }
+  [[nodiscard]] util::DataRate next_rate(const Report& r, const net::RateSample& s) noexcept;
+  void on_data(const net::Packet& p, std::int64_t, double, const net::PacedReceiver&,
+               util::DataRate) noexcept {
+    router_rate_ = p.data.router_rate;
+  }
+  [[nodiscard]] double report_value() const noexcept { return router_rate_; }
+  [[nodiscard]] const net::QueuingDelayMeter& queuing_delay() const noexcept { return qdelay_; }
 
-  // --- measurement -------------------------------------------------------
-  [[nodiscard]] const stats::LossEventRecorder& recorder() const noexcept { return recorder_; }
-  [[nodiscard]] std::uint64_t delivered() const noexcept { return delivered_; }
-  [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
-  [[nodiscard]] double srtt() const noexcept { return snd_.srtt; }
-  [[nodiscard]] const stats::OnlineMoments& rtt_stats() const noexcept { return rtt_stats_; }
-  /// Cumulative queuing-delay telemetry, one sample per feedback (RTT sample
-  /// minus the per-transfer minimum RTT).
-  [[nodiscard]] double queuing_delay_sum_s() const noexcept { return qdelay_sum_s_; }
-  [[nodiscard]] std::uint64_t queuing_delay_samples() const noexcept { return qdelay_samples_; }
-  void reset_counters();
-
-  // --- typed-unit surface --------------------------------------------------
-  [[nodiscard]] util::DataRate target_rate() const noexcept { return snd_.rate; }
   /// True once the sender has adopted a router-advertised rate.
-  [[nodiscard]] bool rate_stamped() const noexcept { return snd_.have_stamp; }
-  [[nodiscard]] util::TimeDelta min_round_trip() const noexcept { return snd_.min_rtt; }
+  [[nodiscard]] bool rate_stamped() const noexcept { return have_stamp_; }
 
  private:
-  void send_next();
-  void on_feedback(const net::Packet& p);
-  void finish_transfer();
-  void reset_transfer_state();
-  void on_data(const net::Packet& p);
-  void feedback_tick();
-
-  net::Dumbbell& net_;
-  int flow_;
-  double base_rtt_s_;
   RcpConfig cfg_;
-
-  sim::Simulator::PinnedEvent send_ev_;
-  sim::Simulator::PinnedEvent feedback_ev_;
-
-  /// Per-transfer sender hot state; chain guards survive the POD rewind.
-  struct SenderState {
-    util::DataRate rate;
-    double srtt = 0.0;
-    util::TimeDelta min_rtt;  // per-transfer floor (0 = no sample yet)
-    std::int64_t next_seq = 0;
-    std::uint64_t transfer_limit = 0;
-    std::uint64_t transfer_sent = 0;
-    bool running = false;
-    bool pacing_armed = false;
-    bool feedback_armed = false;
-    bool have_stamp = false;  // a router-advertised rate has been adopted
-  };
-  static_assert(sizeof(SenderState) == 56, "RCP sender hot state outgrew its budget");
-  static_assert(std::is_trivially_copyable_v<SenderState>);
-
-  /// Per-transfer receiver hot state.
-  struct ReceiverState {
-    std::int64_t expected_seq = 0;
-    double rtt_hint = 0.0;
-    double last_feedback_time = 0.0;
-    double last_data_send_time = 0.0;
-    double router_rate = 0.0;  // stamp of the most recent data packet
-    std::uint64_t recv_since_feedback = 0;
-    bool started = false;
-  };
-  static_assert(sizeof(ReceiverState) == 56, "RCP receiver hot state outgrew its budget");
-  static_assert(std::is_trivially_copyable_v<ReceiverState>);
-
-  SenderState snd_;
-  ReceiverState rcv_;
-
-  std::uint64_t transfers_completed_ = 0;
-  CompletionFn done_;
-
-  // cumulative counters (survive open()/close())
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
-  double qdelay_sum_s_ = 0.0;
-  std::uint64_t qdelay_samples_ = 0;
-
-  stats::LossEventRecorder recorder_;
-  stats::OnlineMoments rtt_stats_;
-  double next_rtt_sample_at_ = 0.0;
+  net::QueuingDelayMeter qdelay_;
+  double router_rate_ = 0.0;  // receiver: stamp of the most recent data packet
+  bool have_stamp_ = false;   // sender: a router-advertised rate has been adopted
 };
 
+using RcpConnection = net::PacedConnection<RcpLaw>;
+
 }  // namespace ebrc::rcp
+
+extern template class ebrc::net::PacedConnection<ebrc::rcp::RcpLaw>;

@@ -1,4 +1,6 @@
-// Packet-level TFRC: a rate-paced sender driven by receiver feedback.
+// Packet-level TFRC: the TFRC rate law over the paced transport
+// (net/paced_connection.hpp), which owns pacing, sequencing, the feedback
+// chain and the lifecycle.
 //
 // Receiver: detects losses from sequence gaps, maintains the RFC 3448 loss
 // history (LossHistory), measures the receive rate, and sends one feedback
@@ -17,14 +19,10 @@
 #pragma once
 
 #include <cstdint>
-#include <type_traits>
-#include <vector>
+#include <string>
 
-#include "core/weights.hpp"
 #include "model/throughput_function.hpp"
-#include "net/dumbbell.hpp"
-#include "stats/loss_events.hpp"
-#include "stats/online.hpp"
+#include "net/paced_connection.hpp"
 #include "tfrc/loss_history.hpp"
 
 namespace ebrc::tfrc {
@@ -49,144 +47,55 @@ struct TfrcConfig {
   double min_rate_pps = 0.1;
 };
 
-class TfrcConnection {
+/// The TFRC rate law: X = f(p, r) from the receiver's hat-theta, slow start
+/// before the first loss event. Its receiver side keeps the RFC 3448 loss
+/// history and reports hat-theta as the feedback value.
+class TfrcLaw {
  public:
-  /// Flow-retirement notification for pooled (finite-transfer) use.
-  using CompletionFn = sim::InlineFunction<void(), 24>;
+  using Config = TfrcConfig;
+  using Report = net::Packet::FeedbackInfo;
+  static constexpr const char* kName = "TfrcConnection";
+  static constexpr net::PacketKind kReportKind = net::PacketKind::kFeedback;
+  static constexpr Report net::Packet::*kReport = &net::Packet::fb;
+  static constexpr bool kFirstRttSampleReplacesSrtt = true;
+  static constexpr bool kNeedsRttSample = false;
 
-  TfrcConnection(net::Dumbbell& net, int flow_id, double base_rtt_s, TfrcConfig cfg = {});
+  explicit TfrcLaw(TfrcConfig cfg);
 
-  // Registers this-capturing handlers and pinned events at construction;
-  // the object must stay at its construction address.
-  TfrcConnection(const TfrcConnection&) = delete;
-  TfrcConnection& operator=(const TfrcConnection&) = delete;
-
-  void start(double at);
-  void stop();
-
-  // --- pooled lifecycle (dynamic workloads) ----------------------------
-  //
-  // A pool slot constructs the connection ONCE (handlers and pinned events
-  // are permanent) and then open()s it for each transfer it carries. open()
-  // resets every piece of per-transfer protocol and estimator state —
-  // sequencing, rate, smoothed RTT, the loss history — while the cumulative
-  // measurement counters (sent/delivered, the loss-event recorder, RTT
-  // moments) keep accumulating across incarnations for long-run statistics.
-  // The pacing and feedback pinned chains are guarded, not cancelled: a
-  // chain that is still armed from the previous incarnation is reused, never
-  // doubled. The pool must quarantine a retired slot for a drain interval
-  // before reopening it, so packets of the previous transfer cannot reach
-  // the new one (see workload::FlowManager).
-
-  /// (Re)opens the connection for a transfer of `transfer_packets` data
-  /// packets (0 = unbounded stream); the first packet is paced out at the
-  /// current simulated time. `on_complete` fires once, at the emission of
-  /// the transfer's final packet — TFRC is an unreliable paced stream, so
-  /// the source is done when it has paced everything out.
-  void open(std::uint64_t transfer_packets, CompletionFn on_complete = {});
-
-  /// Retires the flow: pacing and feedback chains die lazily, pending
-  /// completion is dropped. Counters survive for post-run analysis.
-  void close();
-
-  /// True between open()/start() and close()/completion.
-  [[nodiscard]] bool active() const noexcept { return snd_.running; }
-  /// Transfers completed (completion fired) since construction.
-  [[nodiscard]] std::uint64_t transfers_completed() const noexcept {
-    return transfers_completed_;
+  [[nodiscard]] net::PacedParams params() const noexcept {
+    return {cfg_.packet_bytes, util::DataRate::packets_per_second(cfg_.initial_rate_pps),
+            util::DataRate::packets_per_second(cfg_.min_rate_pps), cfg_.rtt_smoothing};
   }
+  void rewind() noexcept {
+    saw_loss_ = false;
+    history_.reset();
+  }
+  void reset_counters() noexcept {}
+  [[nodiscard]] util::DataRate next_rate(const Report& fb, const net::RateSample& s);
+  void on_data(const net::Packet& p, std::int64_t missing, double now,
+               const net::PacedReceiver& rcv, util::DataRate sender_rate);
+  [[nodiscard]] double report_value() const {
+    return history_.has_loss() ? history_.mean_interval() : 0.0;
+  }
+  /// Loss-based: no queuing-delay samples.
+  [[nodiscard]] net::QueuingDelayMeter queuing_delay() const noexcept { return {}; }
 
-  // --- measurement -----------------------------------------------------
-  [[nodiscard]] const stats::LossEventRecorder& recorder() const noexcept { return recorder_; }
-  [[nodiscard]] std::uint64_t delivered() const noexcept { return delivered_; }
-  [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
-  [[nodiscard]] double rate() const noexcept { return snd_.rate; }
-  [[nodiscard]] double srtt() const noexcept { return snd_.srtt; }
-  [[nodiscard]] const stats::OnlineMoments& rtt_stats() const noexcept { return rtt_stats_; }
-  /// Queuing-delay telemetry (Sender concept): TFRC is loss-based and does
-  /// not sense queuing delay, so it reports no samples.
-  [[nodiscard]] double queuing_delay_sum_s() const noexcept { return 0.0; }
-  [[nodiscard]] std::uint64_t queuing_delay_samples() const noexcept { return 0; }
   [[nodiscard]] const LossHistory& loss_history() const noexcept { return history_; }
-  /// f(p, r) evaluated at this connection's current estimates (the paper's
-  /// conservativeness reference).
-  [[nodiscard]] double formula_rate() const;
-  void reset_counters();
+  /// f(p, r) at the receiver's current loss-event rate and RTT `srtt` (the
+  /// paper's conservativeness reference); 0 before the first loss event.
+  [[nodiscard]] double formula_rate(double srtt) const;
 
  private:
-  // sender side
-  void send_next();
-  void on_feedback(const net::Packet& p);
-  void finish_transfer();
-  /// Rewinds per-transfer protocol/estimator state to the constructor's
-  /// (cumulative counters and the recorder survive).
-  void reset_transfer_state();
-  // receiver side
-  void on_data(const net::Packet& p);
-  void feedback_tick();
-
-  net::Dumbbell& net_;
-  int flow_;
-  double base_rtt_s_;
   TfrcConfig cfg_;
   // rtt = 1, q = 4: immutable and process-wide, shared by every connection
   // with the same formula (see model::unit_throughput_function).
   const model::ThroughputFunction* unit_formula_;
-
-  // Pinned per-packet/per-RTT events (pacing and feedback fire constantly;
-  // `snd_.running` gates them instead of cancellation).
-  sim::Simulator::PinnedEvent send_ev_;
-  sim::Simulator::PinnedEvent feedback_ev_;
-
-  /// Per-transfer sender hot state: everything the per-packet pacing path
-  /// (send_next / on_feedback) reads or writes, grouped into one
-  /// trivially-copyable block so open()'s rewind is a plain store sweep and
-  /// each flow's sender working set is a single cache line at pool scale.
-  /// The chain guards (running / armed) live here but SURVIVE the rewind —
-  /// see reset_transfer_state().
-  struct SenderState {
-    double rate = 0.0;
-    double srtt = 0.0;
-    std::int64_t next_seq = 0;
-    std::uint64_t transfer_limit = 0;  // 0 = unbounded stream
-    std::uint64_t transfer_sent = 0;   // packets emitted this incarnation
-    bool running = false;
-    bool pacing_armed = false;    // a pinned send_next is pending in the kernel
-    bool feedback_armed = false;  // a pinned feedback_tick is pending
-    bool have_rtt = false;
-    bool saw_loss = false;
-  };
-  static_assert(sizeof(SenderState) == 48, "TFRC sender hot state outgrew its line budget");
-  static_assert(std::is_trivially_copyable_v<SenderState>);
-
-  /// Per-transfer receiver hot state (on_data / feedback_tick), same idiom.
-  struct ReceiverState {
-    std::int64_t expected_seq = 0;
-    double rtt_hint = 0.0;
-    double last_feedback_time = 0.0;
-    double last_data_send_time = 0.0;
-    std::uint64_t recv_since_feedback = 0;
-    bool started = false;
-  };
-  static_assert(sizeof(ReceiverState) == 48, "TFRC receiver hot state outgrew its line budget");
-  static_assert(std::is_trivially_copyable_v<ReceiverState>);
-
-  SenderState snd_;
-  ReceiverState rcv_;
-
-  // pooled-lifecycle state (cumulative across incarnations)
-  std::uint64_t transfers_completed_ = 0;
-  CompletionFn done_;
-
-  // cumulative counters and the receiver's loss-interval estimator
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
   LossHistory history_;
-
-  // measurement
-  stats::LossEventRecorder recorder_;
-  stats::OnlineMoments rtt_stats_;
-  double next_rtt_sample_at_ = 0.0;
+  bool saw_loss_ = false;  // the sender has left slow start
 };
 
+using TfrcConnection = net::PacedConnection<TfrcLaw>;
+
 }  // namespace ebrc::tfrc
+
+extern template class ebrc::net::PacedConnection<ebrc::tfrc::TfrcLaw>;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace ebrc::workload {
 
@@ -44,17 +45,17 @@ FlowManager::FlowManager(net::Dumbbell& net, FlowManagerConfig cfg)
   if (w.session_transfers_mean < 1.0) {
     throw std::invalid_argument("FlowManager: session_transfers_mean must be >= 1");
   }
-  if (w.controller == "tfrc") {
-    forced_cls_ = class_index(FlowClass::kTfrc);
-  } else if (w.controller == "tcp") {
-    forced_cls_ = class_index(FlowClass::kTcp);
-  } else if (w.controller == "delay_aimd") {
-    forced_cls_ = class_index(FlowClass::kDelayAimd);
-  } else if (w.controller == "rcp") {
-    forced_cls_ = class_index(FlowClass::kRcp);
-  } else if (!w.controller.empty()) {
-    throw std::invalid_argument("FlowManager: unknown controller '" + w.controller +
-                                "' (expected tfrc | tcp | delay_aimd | rcp)");
+  if (!w.controller.empty()) {
+    const auto* name = std::find(kControllerNames.begin(), kControllerNames.end(), w.controller);
+    if (name == kControllerNames.end()) {
+      std::string zoo;
+      for (const std::string_view n : kControllerNames) {
+        zoo += (zoo.empty() ? "" : " | ") + std::string(n);
+      }
+      throw std::invalid_argument("FlowManager: unknown controller '" + w.controller +
+                                  "' (expected " + zoo + ")");
+    }
+    forced_cls_ = static_cast<int>(name - kControllerNames.begin());
   }
   // Per-slot side state only for the classes admit() can draw: the forced
   // controller, or whichever of TFRC/TCP the mix gives a nonzero share
@@ -152,16 +153,16 @@ void FlowManager::ensure_side(std::size_t idx, FlowClass cls) {
   sd.flow_id = net_.add_flow(one_way, rtt / 2.0);
   switch (cls) {
     case FlowClass::kTfrc:
-      sd.conn = pools_.make_tfrc(net_, sd.flow_id, rtt, cfg_.tfrc);
+      sd.conn = pools_.make<tfrc::TfrcConnection>(net_, sd.flow_id, rtt, cfg_.tfrc);
       break;
     case FlowClass::kTcp:
-      sd.conn = pools_.make_tcp(net_, sd.flow_id, rtt, cfg_.tcp);
+      sd.conn = pools_.make<tcp::TcpConnection>(net_, sd.flow_id, rtt, cfg_.tcp);
       break;
     case FlowClass::kDelayAimd:
-      sd.conn = pools_.make_delay_aimd(net_, sd.flow_id, rtt, cfg_.aimd);
+      sd.conn = pools_.make<delay_aimd::DelayAimdConnection>(net_, sd.flow_id, rtt, cfg_.aimd);
       break;
     case FlowClass::kRcp:
-      sd.conn = pools_.make_rcp(net_, sd.flow_id, rtt, cfg_.rcp);
+      sd.conn = pools_.make<rcp::RcpConnection>(net_, sd.flow_id, rtt, cfg_.rcp);
       break;
   }
 }

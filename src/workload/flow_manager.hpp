@@ -8,7 +8,7 @@
 //
 // The pool is where the zero-steady-state-allocation contract lives. A slot
 // wires itself into the dumbbell ONCE per traffic class — one dumbbell flow
-// id plus one permanently constructed TfrcConnection or TcpConnection, with
+// id plus one permanently constructed connection of that class, with
 // its pinned pacing/feedback events and packet handlers registered at that
 // first use and never again. Every later transfer the slot carries merely
 // open()s the existing connection (a state rewind, no construction, no

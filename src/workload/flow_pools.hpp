@@ -38,20 +38,27 @@
 // tests/workload_alloc_test.cpp holds the line with a per-slot byte budget.
 //
 // Four traffic classes ride the pool (FlowClass): TFRC and TCP from the
-// paper, plus the PR 9 controller zoo — delay-based AIMD and RCP. All four
-// connection types satisfy the workload::Sender concept (checked below), and
-// with_sender() dispatches a generic visitor over the class tag so the
-// manager's epoch sweeps are written once, not four times.
+// paper, plus delay-based AIMD and RCP. TCP is its own ACK-clocked
+// transport; the other three are one paced transport,
+// net::PacedConnection<Law>, over their rate laws. ClassConnections lists
+// the connection type of each class once: make<Conn>() picks the class's
+// deque by type, every type is checked against the workload::Sender concept
+// below, and with_sender() dispatches a generic visitor over the class tag
+// so the manager's epoch sweeps are written once, not four times.
 //
 // Static tripwires pin the record layouts the same way the 56-B Packet and
 // 24-B queue-entry guards do: growing a record past its line budget is a
 // compile error, not a silent regression.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <string_view>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "delay_aimd/delay_aimd_connection.hpp"
@@ -63,14 +70,28 @@
 namespace ebrc::workload {
 
 enum class FlowClass : int { kTfrc = 0, kTcp = 1, kDelayAimd = 2, kRcp = 3 };
-inline constexpr int kFlowClasses = 4;
+
+/// The connection type behind each FlowClass, in enumerator order, and the
+/// `[workload] controller` name that pins it. Adding a controller appends
+/// its enumerator, its connection type and its name here.
+using ClassConnections = std::tuple<tfrc::TfrcConnection, tcp::TcpConnection,
+                                    delay_aimd::DelayAimdConnection, rcp::RcpConnection>;
+inline constexpr int kFlowClasses = static_cast<int>(std::tuple_size_v<ClassConnections>);
+inline constexpr std::array<std::string_view, kFlowClasses> kControllerNames = {
+    "tfrc", "tcp", "delay_aimd", "rcp"};
 
 // The whole zoo satisfies the Sender contract — a controller that forgets
 // part of the pooled lifecycle fails here, at compile time.
-static_assert(Sender<tfrc::TfrcConnection>);
-static_assert(Sender<tcp::TcpConnection>);
-static_assert(Sender<delay_aimd::DelayAimdConnection>);
-static_assert(Sender<rcp::RcpConnection>);
+static_assert([]<typename... Conn>(std::type_identity<std::tuple<Conn...>>) {
+  return (Sender<Conn> && ...);
+}(std::type_identity<ClassConnections>{}));
+
+// Per-slot connection budgets (g++/libstdc++, x86-64): every wired slot of a
+// pooled cell holds one connection of its class.
+static_assert(sizeof(tfrc::TfrcConnection) <= 616, "TFRC connection outgrew its budget");
+static_assert(sizeof(delay_aimd::DelayAimdConnection) <= 536,
+              "delay-AIMD connection outgrew its budget");
+static_assert(sizeof(rcp::RcpConnection) <= 456, "RCP connection outgrew its budget");
 
 /// Hot per-slot transfer attributes: everything admit()/complete() read or
 /// write per transfer, and nothing else.
@@ -145,78 +166,48 @@ class FlowPools {
     return sides_[cls];
   }
 
-  /// Constructs a connection in the class pool (address-stable deque) and
+  /// Constructs a `Conn` in its class pool (address-stable deque) and
   /// returns its index for SideState::conn.
-  [[nodiscard]] std::int32_t make_tfrc(net::Dumbbell& net, int flow_id, double rtt,
-                                       const tfrc::TfrcConfig& cfg) {
-    tfrc_.emplace_back(net, flow_id, rtt, cfg);
-    return static_cast<std::int32_t>(tfrc_.size() - 1);
+  template <typename Conn, typename Config>
+  [[nodiscard]] std::int32_t make(net::Dumbbell& net, int flow_id, double rtt, const Config& cfg) {
+    auto& pool = std::get<std::deque<Conn>>(conns_);
+    pool.emplace_back(net, flow_id, rtt, cfg);
+    return static_cast<std::int32_t>(pool.size() - 1);
   }
-  [[nodiscard]] std::int32_t make_tcp(net::Dumbbell& net, int flow_id, double rtt,
-                                      const tcp::TcpConfig& cfg) {
-    tcp_.emplace_back(net, flow_id, rtt, cfg);
-    return static_cast<std::int32_t>(tcp_.size() - 1);
-  }
-  [[nodiscard]] std::int32_t make_delay_aimd(net::Dumbbell& net, int flow_id, double rtt,
-                                             const delay_aimd::DelayAimdConfig& cfg) {
-    aimd_.emplace_back(net, flow_id, rtt, cfg);
-    return static_cast<std::int32_t>(aimd_.size() - 1);
-  }
-  [[nodiscard]] std::int32_t make_rcp(net::Dumbbell& net, int flow_id, double rtt,
-                                      const rcp::RcpConfig& cfg) {
-    rcp_.emplace_back(net, flow_id, rtt, cfg);
-    return static_cast<std::int32_t>(rcp_.size() - 1);
-  }
-
-  [[nodiscard]] tfrc::TfrcConnection& tfrc(std::int32_t c) noexcept { return tfrc_[c]; }
-  [[nodiscard]] const tfrc::TfrcConnection& tfrc(std::int32_t c) const noexcept {
-    return tfrc_[c];
-  }
-  [[nodiscard]] tcp::TcpConnection& tcp(std::int32_t c) noexcept { return tcp_[c]; }
-  [[nodiscard]] const tcp::TcpConnection& tcp(std::int32_t c) const noexcept { return tcp_[c]; }
-  [[nodiscard]] delay_aimd::DelayAimdConnection& delay_aimd(std::int32_t c) noexcept {
-    return aimd_[c];
-  }
-  [[nodiscard]] const delay_aimd::DelayAimdConnection& delay_aimd(std::int32_t c) const noexcept {
-    return aimd_[c];
-  }
-  [[nodiscard]] rcp::RcpConnection& rcp(std::int32_t c) noexcept { return rcp_[c]; }
-  [[nodiscard]] const rcp::RcpConnection& rcp(std::int32_t c) const noexcept { return rcp_[c]; }
 
   /// Applies `fn` to connection `c` of class `cls` as whatever concrete
   /// Sender it is. Pool/epoch code generic over the zoo is written once
   /// against the Sender concept and dispatched here.
   template <typename Fn>
-  decltype(auto) with_sender(int cls, std::int32_t c, Fn&& fn) {
-    switch (static_cast<FlowClass>(cls)) {
-      case FlowClass::kTfrc: return fn(tfrc_[c]);
-      case FlowClass::kTcp: return fn(tcp_[c]);
-      case FlowClass::kDelayAimd: return fn(aimd_[c]);
-      case FlowClass::kRcp: return fn(rcp_[c]);
-    }
-    return fn(tfrc_[c]);  // unreachable; keeps -Wreturn-type quiet
+  void with_sender(int cls, std::int32_t c, Fn&& fn) {
+    dispatch(conns_, cls, c, fn);
   }
   template <typename Fn>
-  decltype(auto) with_sender(int cls, std::int32_t c, Fn&& fn) const {
-    switch (static_cast<FlowClass>(cls)) {
-      case FlowClass::kTfrc: return fn(tfrc_[c]);
-      case FlowClass::kTcp: return fn(tcp_[c]);
-      case FlowClass::kDelayAimd: return fn(aimd_[c]);
-      case FlowClass::kRcp: return fn(rcp_[c]);
-    }
-    return fn(tfrc_[c]);  // unreachable; keeps -Wreturn-type quiet
+  void with_sender(int cls, std::int32_t c, Fn&& fn) const {
+    dispatch(conns_, cls, c, fn);
   }
 
  private:
   [[nodiscard]] bool has_class(int cls) const noexcept { return (classes_ >> cls) & 1u; }
 
+  template <typename Conns, typename Fn>
+  static void dispatch(Conns& conns, int cls, std::int32_t c, Fn& fn) {
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      (void)((cls == static_cast<int>(I) && (fn(std::get<I>(conns)[c]), true)) || ...);
+    }(std::make_index_sequence<kFlowClasses>{});
+  }
+
+  template <typename>
+  struct PoolsOf;
+  template <typename... Conn>
+  struct PoolsOf<std::tuple<Conn...>> {
+    using type = std::tuple<std::deque<Conn>...>;  // deque: connections never relocate
+  };
+
   unsigned classes_ = (1u << kFlowClasses) - 1;  // classes with a SideState array
   std::vector<SlotState> slots_;
   std::vector<SideState> sides_[kFlowClasses];
-  std::deque<tfrc::TfrcConnection> tfrc_;  // deque: connections never relocate
-  std::deque<tcp::TcpConnection> tcp_;
-  std::deque<delay_aimd::DelayAimdConnection> aimd_;
-  std::deque<rcp::RcpConnection> rcp_;
+  PoolsOf<ClassConnections>::type conns_;
 };
 
 }  // namespace ebrc::workload

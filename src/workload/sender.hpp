@@ -1,6 +1,10 @@
-// The Sender concept: the contract every rate controller in the zoo
-// satisfies, extracted from the TfrcConnection/TcpConnection lifecycle that
-// PR 5 unified and PR 9 generalizes to DelayAimd and RCP.
+// The Sender concept: the contract every controller in the zoo satisfies.
+//
+// Two transports implement it. TCP (tcp::TcpConnection) is ACK-clocked and
+// window-based. Every rate-based controller — TFRC, delay-AIMD, RCP — is
+// one paced transport, net::PacedConnection<Law>, over a small rate law
+// (tfrc::TfrcLaw, delay_aimd::DelayAimdLaw, rcp::RcpLaw): the skeleton owns
+// the lifecycle below, the law maps each receiver report to a new rate.
 //
 // A Sender is constructed ONCE per pool slot (handlers and pinned events are
 // permanent, the object is address-stable) and then cycled through
@@ -9,9 +13,9 @@
 // pacing/feedback chains dying lazily against the running flag. The pool
 // quarantines retired slots for a drain interval before reuse.
 //
-// The concept is structural, checked at compile time for all four
-// controllers (see flow_pools.hpp), so a new controller that forgets part of
-// the lifecycle fails the build, not a 3 a.m. sweep.
+// The concept is structural and checked at compile time for every class in
+// workload::ClassConnections (flow_pools.hpp), so a controller that forgets
+// part of the lifecycle fails the build, not a 3 a.m. sweep.
 #pragma once
 
 #include <concepts>

@@ -25,6 +25,7 @@
 #include "tcp/tcp_connection.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/scenario.hpp"
+#include "testbed/scenario_io.hpp"
 #include "tfrc/tfrc_connection.hpp"
 #include "util/units.hpp"
 #include "workload/flow_manager.hpp"
@@ -131,7 +132,7 @@ TEST(ControllerLifecycle, RcpSenderAdoptsRouterStampAndCompletes) {
   sim.run_until(400.0);
   EXPECT_EQ(completions, 1);
   EXPECT_EQ(c.sent(), 400u);
-  EXPECT_TRUE(c.rate_stamped());  // the router's fair share reached the sender
+  EXPECT_TRUE(c.law().rate_stamped());  // the router's fair share reached the sender
   EXPECT_GT(c.queuing_delay_samples(), 0u);
 
   // The advertised fair share is bounded by the link's packet capacity.
@@ -143,6 +144,36 @@ TEST(ControllerLifecycle, RcpSenderAdoptsRouterStampAndCompletes) {
   c.open(100, [&] { ++completions; });
   sim.run_until(800.0);
   EXPECT_EQ(completions, 2);
+}
+
+TEST(ControllerLifecycle, SharedPacedConfigIsValidated) {
+  sim::Simulator sim;
+  net::Dumbbell net(sim, net::Queue::drop_tail(100), 15e6, 0.001);
+  const int id = net.add_flow(0.024, 0.025);
+  const auto negative = DataRate::packets_per_second(-1.0);
+  delay_aimd::DelayAimdConfig aimd;
+  aimd.rtt_smoothing = 1.5;
+  EXPECT_THROW(delay_aimd::DelayAimdConnection(net, id, 0.050, aimd), std::invalid_argument);
+  aimd = delay_aimd::DelayAimdConfig{};
+  aimd.min_rate = negative;
+  EXPECT_THROW(delay_aimd::DelayAimdConnection(net, id, 0.050, aimd), std::invalid_argument);
+  rcp::RcpConfig rcp;
+  rcp.rtt_smoothing = -0.1;
+  EXPECT_THROW(rcp::RcpConnection(net, id, 0.050, rcp), std::invalid_argument);
+  rcp = rcp::RcpConfig{};
+  rcp.min_rate = negative;
+  EXPECT_THROW(rcp::RcpConnection(net, id, 0.050, rcp), std::invalid_argument);
+}
+
+TEST(ControllerLifecycle, OutOfRangeScenarioIsRejectedBeforeSimulating) {
+  // Unchecked, the first dies mid-cell on a negative pacing delay and the
+  // second silently reports a fraction of the TFRC throughput.
+  for (const char* toml : {"[tfrc]\nmin_rate_pps = -1.0\nrtt_smoothing = 1.5\n",
+                           "[tfrc]\nrtt_smoothing = 1.5\n"}) {
+    EXPECT_THROW((void)testbed::run_experiment(testbed::scenario_from_toml(toml)),
+                 std::invalid_argument)
+        << toml;
+  }
 }
 
 TEST(ControllerLifecycle, RcpRouterRejectsBadParams) {

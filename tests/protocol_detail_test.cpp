@@ -160,8 +160,8 @@ TEST(TfrcDetail, FeedbackDrivesRateWithinTwoReceiveRates) {
   sim.run_until(60.0);
   // The standard cap: the send rate never exceeds twice what the receiver
   // reports, which on a 500 pkt/s link bounds it near 1000 pkt/s.
-  EXPECT_LT(conn.rate(), 1100.0);
-  EXPECT_GT(conn.rate(), 50.0);
+  EXPECT_LT(conn.target_rate().pps(), 1100.0);
+  EXPECT_GT(conn.target_rate().pps(), 50.0);
 }
 
 TEST(TfrcDetail, HistoryDiscountingSpeedsRecovery) {

@@ -96,7 +96,7 @@ TEST(Tfrc, SlowStartsThenFillsThePipe) {
   const double goodput = static_cast<double>(w.conn->delivered()) / 120.0;
   EXPECT_GT(goodput, 0.6 * capacity_pps);
   EXPECT_LT(goodput, 1.05 * capacity_pps);
-  EXPECT_GE(w.conn->loss_history().events(), 3u);
+  EXPECT_GE(w.conn->law().loss_history().events(), 3u);
 }
 
 TEST(Tfrc, RttEstimateTracksPath) {
@@ -111,13 +111,13 @@ TEST(Tfrc, RateFollowsFormulaAfterLoss) {
   TfrcWorld w(2e6, 30, 0.050);
   w.conn->start(0.0);
   w.sim.run_until(90.0);
-  ASSERT_GT(w.conn->loss_history().events(), 10u);
+  ASSERT_GT(w.conn->law().loss_history().events(), 10u);
   // The instantaneous rate equals f(p,r) at the connection's own estimates
   // (within the 2x receive-rate cap and feedback lag).
-  const double formula = w.conn->formula_rate();
+  const double formula = w.conn->law().formula_rate(w.conn->srtt());
   ASSERT_GT(formula, 0.0);
-  EXPECT_GT(w.conn->rate(), 0.25 * formula);
-  EXPECT_LT(w.conn->rate(), 2.5 * formula);
+  EXPECT_GT(w.conn->target_rate().pps(), 0.25 * formula);
+  EXPECT_LT(w.conn->target_rate().pps(), 2.5 * formula);
 }
 
 TEST(Tfrc, SmootherThanTcpUnderSameConditions) {
@@ -150,6 +150,12 @@ TEST(Tfrc, Validation) {
   EXPECT_THROW(tfrc::TfrcConnection(net, id, 0.0), std::invalid_argument);
   tfrc::TfrcConfig bad;
   bad.initial_rate_pps = -1.0;
+  EXPECT_THROW(tfrc::TfrcConnection(net, id, 0.05, bad), std::invalid_argument);
+  bad = tfrc::TfrcConfig{};
+  bad.rtt_smoothing = 1.5;
+  EXPECT_THROW(tfrc::TfrcConnection(net, id, 0.05, bad), std::invalid_argument);
+  bad = tfrc::TfrcConfig{};
+  bad.min_rate_pps = 0.0;
   EXPECT_THROW(tfrc::TfrcConnection(net, id, 0.05, bad), std::invalid_argument);
 }
 
