@@ -53,19 +53,14 @@ util::DataRate TfrcLaw::next_rate(const Report& fb, const net::RateSample& s) {
   return util::DataRate::packets_per_second(new_rate);
 }
 
-void TfrcLaw::on_data(const net::Packet& /*p*/, std::int64_t missing, double now,
-                      const net::PacedReceiver& rcv, util::DataRate sender_rate) {
-  if (missing > 0 && !history_.has_loss()) {
-    // First loss event: seed the history so that the reported rate matches
-    // the rate the connection actually achieved so far (RFC 3448 6.3.1).
-    const double elapsed = std::max(1e-9, now - rcv.last_feedback_time);
-    const double recv_rate = rcv.recv_since_feedback > 0
-                                 ? static_cast<double>(rcv.recv_since_feedback) / elapsed
-                                 : sender_rate.pps();
-    const double theta0 = invert_rate(*unit_formula_, recv_rate * rcv.rtt_hint);
-    history_.seed(std::max(1.0, theta0));
-  }
-  history_.on_packet(missing, now, rcv.rtt_hint);
+void TfrcLaw::seed_history(double now, const net::PacedReceiver& rcv,
+                           util::DataRate sender_rate) {
+  const double elapsed = std::max(1e-9, now - rcv.last_feedback_time);
+  const double recv_rate = rcv.recv_since_feedback > 0
+                               ? static_cast<double>(rcv.recv_since_feedback) / elapsed
+                               : sender_rate.pps();
+  const double theta0 = invert_rate(*unit_formula_, recv_rate * rcv.rtt_hint);
+  history_.seed(std::max(1.0, theta0));
 }
 
 }  // namespace ebrc::tfrc

@@ -72,8 +72,11 @@ class TfrcLaw {
   }
   void reset_counters() noexcept {}
   [[nodiscard]] util::DataRate next_rate(const Report& fb, const net::RateSample& s);
-  void on_data(const net::Packet& p, std::int64_t missing, double now,
-               const net::PacedReceiver& rcv, util::DataRate sender_rate);
+  void on_data(const net::Packet& /*p*/, std::int64_t missing, double now,
+               const net::PacedReceiver& rcv, util::DataRate sender_rate) {
+    if (missing > 0 && !history_.has_loss()) seed_history(now, rcv, sender_rate);
+    history_.on_packet(missing, now, rcv.rtt_hint);
+  }
   [[nodiscard]] double report_value() const {
     return history_.has_loss() ? history_.mean_interval() : 0.0;
   }
@@ -92,6 +95,10 @@ class TfrcLaw {
   const model::ThroughputFunction* unit_formula_;
   LossHistory history_;
   bool saw_loss_ = false;  // the sender has left slow start
+
+  /// First loss event: seeds the history so that the reported rate matches
+  /// the rate the connection actually achieved so far (RFC 3448 6.3.1).
+  void seed_history(double now, const net::PacedReceiver& rcv, util::DataRate sender_rate);
 };
 
 using TfrcConnection = net::PacedConnection<TfrcLaw>;

@@ -44,10 +44,11 @@ constexpr double kSampleS = 0.010;
 constexpr std::uint64_t kTransferPackets = 300;
 constexpr double kReopenGapS = 0.5;
 
-double rate_of(const tfrc::TfrcConnection& c) { return c.target_rate().pps(); }
+template <typename Law>
+double rate_of(const net::PacedConnection<Law>& c) {
+  return c.target_rate().pps();
+}
 double rate_of(const tcp::TcpConnection& c) { return c.cwnd(); }
-double rate_of(const delay_aimd::DelayAimdConnection& c) { return c.target_rate().pps(); }
-double rate_of(const rcp::RcpConnection& c) { return c.target_rate().pps(); }
 
 /// Opens a finite transfer and, at each completion, reopens the connection
 /// after a quarantine gap — the pooled lifecycle without the pool.
