@@ -243,9 +243,7 @@ PacedConnection<Law>::PacedConnection(Dumbbell& net, int flow_id, double base_rt
   check(prm.packet_bytes > 0, "packet_bytes must be > 0");
   check(prm.initial_rate.pps() > 0, "initial rate must be > 0");
   check(prm.min_rate.pps() > 0, "minimum rate must be > 0");
-  snd_.rate = prm.initial_rate;
-  snd_.srtt = base_rtt_s;
-  rcv_.rtt_hint = base_rtt_s;
+  reset_transfer_state();
   send_ev_ = net_.simulator().pin([this] { send_next(); });
   feedback_ev_ = net_.simulator().pin([this] { feedback_tick(); });
   net_.on_data_at_receiver(flow_, [this](const Packet& p) { on_data(p); });
