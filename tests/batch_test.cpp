@@ -16,6 +16,7 @@
 #include "testbed/batch.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/scenario_registry.hpp"
+#include "util/binary_io.hpp"
 
 namespace {
 
@@ -112,6 +113,52 @@ TEST(BatchResult, AggregatesMeanAndCi) {
   EXPECT_DOUBLE_EQ(agg.metric("friendliness").stddev(), 1.0);
   EXPECT_NEAR(agg.ci("friendliness"), 1.96 / std::sqrt(3.0), 1e-12);
   EXPECT_THROW((void)agg.metric("no-such-metric"), std::out_of_range);
+}
+
+// ---- aggregate() golden ------------------------------------------------------
+// Pins the summary metric key set and values: an FNV-1a over the sorted
+// (name, count, mean bits) of aggregate() for one static ns-2 batch and one
+// churn batch per controller. The roundtrip ctests compare one build's runs
+// with each other, so a renamed, dropped or misrouted metric key would pass
+// them; it cannot pass this. A mismatch means the summary schema changed.
+
+std::uint64_t aggregate_digest(const Scenario& base) {
+  const auto runs = BatchRunner(2).run(ebrc::testbed::replicate(base, /*root_seed=*/11, 2));
+  const auto agg = ebrc::testbed::aggregate(runs);
+  ebrc::util::Fnv1a h;
+  h.u64(agg.runs);
+  for (const auto& [name, m] : agg.metrics) {
+    h.str(name);
+    h.u64(m.count());
+    h.f64(m.mean());
+  }
+  return h.digest();
+}
+
+Scenario churn_batch(const std::string& controller) {
+  auto s = ebrc::testbed::churn_scenario(/*offered_load=*/0.9, /*tfrc_fraction=*/0.5, 0);
+  s.name = "aggregate-golden-" + controller;
+  s.workload.controller = controller;
+  s.workload.max_concurrent = 32;
+  s.duration_s = 8.0;
+  s.warmup_s = 2.0;
+  return s;
+}
+
+#define EXPECT_AGGREGATE(scenario, golden)                                           \
+  do {                                                                               \
+    const std::uint64_t digest = aggregate_digest(scenario);                         \
+    EXPECT_EQ(digest, golden) << std::hex << "digest 0x" << digest << ", golden 0x" \
+                              << (golden);                                           \
+  } while (0)
+
+TEST(AggregateGolden, StaticNs2Batch) { EXPECT_AGGREGATE(short_ns2(0), 0x0b58210d8f572828ull); }
+
+TEST(AggregateGolden, ChurnBatchPerController) {
+  EXPECT_AGGREGATE(churn_batch("tfrc"), 0x8cbf33b3895a9f6bull);
+  EXPECT_AGGREGATE(churn_batch("tcp"), 0x645d61acc1c3bc52ull);
+  EXPECT_AGGREGATE(churn_batch("delay_aimd"), 0x630f79e496d9499full);
+  EXPECT_AGGREGATE(churn_batch("rcp"), 0xd45c67fbcfcea612ull);
 }
 
 TEST(ReplicatePaired, SharesSeedsWithinPairsDistinctAcrossReps) {
