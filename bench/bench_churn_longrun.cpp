@@ -48,6 +48,9 @@ namespace {
 using namespace ebrc;
 using Clock = std::chrono::steady_clock;
 
+constexpr int kTfrc = workload::class_index(workload::FlowClass::kTfrc);
+constexpr int kTcp = workload::class_index(workload::FlowClass::kTcp);
+
 struct EngineResult {
   std::string name;
   std::uint64_t events = 0;        // best slice
@@ -262,11 +265,11 @@ int main(int argc, char** argv) {
       flows.add(wl.mean_flows);
       peak.add(static_cast<double>(wl.peak_flows));
       share.add(wl.tfrc_share);
-      t_tfrc.add(wl.tfrc_completion_s);
-      t_tcp.add(wl.tcp_completion_s);
-      cov_tfrc.add(wl.tfrc_completion_cov);
-      cov_tcp.add(wl.tcp_completion_cov);
-      if (wl.tfrc_p > 0) p_ratio.add(wl.tcp_p / wl.tfrc_p);
+      t_tfrc.add(wl.completion_s[kTfrc]);
+      t_tcp.add(wl.completion_s[kTcp]);
+      cov_tfrc.add(wl.completion_cov[kTfrc]);
+      cov_tcp.add(wl.completion_cov[kTcp]);
+      if (wl.p[kTfrc] > 0) p_ratio.add(wl.p[kTcp] / wl.p[kTfrc]);
     }
     t.row({rho, arrivals.mean(), rejected.mean(), flows.mean(), peak.mean(), share.mean(),
            t_tfrc.mean(), t_tcp.mean(), cov_tfrc.mean(), cov_tcp.mean(), p_ratio.mean()});
@@ -288,9 +291,9 @@ int main(int argc, char** argv) {
   // all TFRC, arm B's all TCP), so fold it by hand on the same pairs.
   stats::OnlineMoments completion_diff, goodput_diff;
   for (std::size_t i = 0; i < arm_a.size(); ++i) {
-    completion_diff.add(arm_a[i].workload.tfrc_completion_s -
-                        arm_b[i].workload.tcp_completion_s);
-    goodput_diff.add(arm_a[i].workload.tfrc_goodput_pps - arm_b[i].workload.tcp_goodput_pps);
+    completion_diff.add(arm_a[i].workload.completion_s[kTfrc] -
+                        arm_b[i].workload.completion_s[kTcp]);
+    goodput_diff.add(arm_a[i].workload.goodput_pps[kTfrc] - arm_b[i].workload.goodput_pps[kTcp]);
   }
   util::Table c({"contrast (all-TFRC − all-TCP)", "mean diff", "ci95"});
   c.row({std::string("completion time (s)"), util::fmt(completion_diff.mean(), 5),

@@ -41,30 +41,15 @@ namespace {
 
 using namespace ebrc;
 
+// In FlowClass order: controller c fills slot c of the per-class results.
 constexpr const char* kControllers[] = {"tfrc", "tcp", "delay_aimd", "rcp"};
 constexpr std::size_t kNumControllers = 4;
+static_assert(kNumControllers == workload::kFlowClasses);
 
 std::string load_tag(double rho) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", rho);
   return buf;
-}
-
-/// The per-class slice of a WorkloadSummary that the pinned controller filled.
-struct ClassSlice {
-  double goodput_pps = 0.0;
-  double p = 0.0;
-  double completion_s = 0.0;
-  double completion_cov = 0.0;
-};
-
-ClassSlice slice_for(const workload::WorkloadSummary& wl, std::size_t ctrl) {
-  switch (ctrl) {
-    case 0: return {wl.tfrc_goodput_pps, wl.tfrc_p, wl.tfrc_completion_s, wl.tfrc_completion_cov};
-    case 1: return {wl.tcp_goodput_pps, wl.tcp_p, wl.tcp_completion_s, wl.tcp_completion_cov};
-    case 2: return {wl.aimd_goodput_pps, wl.aimd_p, wl.aimd_completion_s, wl.aimd_completion_cov};
-    default: return {wl.rcp_goodput_pps, wl.rcp_p, wl.rcp_completion_s, wl.rcp_completion_cov};
-  }
 }
 
 }  // namespace
@@ -140,13 +125,13 @@ int main(int argc, char** argv) {
       double heap_pops = 0.0;
       for (std::size_t r = 0; r < reps; ++r) {
         const auto& res = cell(l, c, r);
-        const auto s = slice_for(res.workload, c);
-        goodput.add(s.goodput_pps);
-        loss.add(s.p);
-        qdelay.add(res.workload.qdelay_mean_s * 1e3);
-        completion.add(s.completion_s);
-        cov.add(s.completion_cov);
-        flows.add(res.workload.mean_flows);
+        const auto& wl = res.workload;
+        goodput.add(wl.goodput_pps[c]);
+        loss.add(wl.p[c]);
+        qdelay.add(wl.qdelay_mean_s * 1e3);
+        completion.add(wl.completion_s[c]);
+        cov.add(wl.completion_cov[c]);
+        flows.add(wl.mean_flows);
         util_m.add(res.bottleneck_utilization);
         wheel_pops += bench::obs_value(res, "kernel_wheel_pops");
         heap_pops += bench::obs_value(res, "kernel_heap_pops");
@@ -179,10 +164,8 @@ int main(int argc, char** argv) {
       for (std::size_t r = 0; r < reps; ++r) {
         const auto& a = cell(l, c, r);  // challenger controller
         const auto& b = cell(l, 0, r);  // TFRC arm, same derived seed
-        d_goodput.add(slice_for(a.workload, c).goodput_pps -
-                      slice_for(b.workload, 0).goodput_pps);
-        d_completion.add(slice_for(a.workload, c).completion_s -
-                         slice_for(b.workload, 0).completion_s);
+        d_goodput.add(a.workload.goodput_pps[c] - b.workload.goodput_pps[0]);
+        d_completion.add(a.workload.completion_s[c] - b.workload.completion_s[0]);
         d_completions.add(static_cast<double>(a.workload.completions) -
                           static_cast<double>(b.workload.completions));
       }

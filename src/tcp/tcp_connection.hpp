@@ -34,6 +34,7 @@ struct TcpConfig {
 
 class TcpConnection {
  public:
+  using Config = TcpConfig;
   /// Flow-retirement notification for pooled (finite-transfer) use.
   using CompletionFn = sim::InlineFunction<void(), 24>;
 

@@ -16,6 +16,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/run_obs.hpp"
@@ -107,59 +108,53 @@ const stats::OnlineMoments& BatchResult::metric(const std::string& name) const {
   return it->second;
 }
 
+namespace {
+
+using workload::FieldName;
+
+/// Folds results into a BatchResult through visit_result: each double and
+/// u64 outside a list is a metric under its field name, except after a false
+/// flag (workload_active gates the workload block), and each obs entry is a
+/// metric "obs_<name>".
+struct Aggregator {
+  BatchResult& out;
+  /// Each field's accumulator by ordinal, looked up (and its name built)
+  /// once per aggregate() call, not per result.
+  std::vector<stats::OnlineMoments*> slots{};
+  std::size_t at = 0;
+  bool active = true;
+
+  template <class T>
+  void field(FieldName n, const T& v) {
+    if (at == slots.size()) slots.push_back(nullptr);
+    if constexpr (std::is_same_v<T, bool>) {
+      active = v;
+    } else if constexpr (std::is_same_v<T, double> || std::is_same_v<T, std::uint64_t>) {
+      if (active) {
+        if (slots[at] == nullptr) slots[at] = &out.metrics[n.str()];
+        slots[at]->add(static_cast<double>(v));
+      }
+    }
+    ++at;
+  }
+  template <class T, class Fn>
+  void list(FieldName, const std::vector<T>&, Fn) {}
+  template <class Fn>
+  void list(FieldName n, const obs::Snapshot& s, Fn) {
+    for (const auto& [name, v] : s) out.metrics[std::string(n.pattern) + "_" + name].add(v);
+  }
+};
+
+}  // namespace
+
 BatchResult aggregate(const std::vector<ExperimentResult>& runs) {
   BatchResult out;
   out.runs = runs.size();
+  Aggregator agg{out};
   for (const auto& r : runs) {
-    out.metrics["tfrc_throughput"].add(r.tfrc_throughput);
-    out.metrics["tcp_throughput"].add(r.tcp_throughput);
-    out.metrics["tfrc_p"].add(r.tfrc_p);
-    out.metrics["tcp_p"].add(r.tcp_p);
-    out.metrics["poisson_p"].add(r.poisson_p);
-    out.metrics["tfrc_rtt"].add(r.tfrc_rtt);
-    out.metrics["tcp_rtt"].add(r.tcp_rtt);
-    out.metrics["bottleneck_utilization"].add(r.bottleneck_utilization);
-    out.metrics["conservativeness"].add(r.breakdown.conservativeness);
-    out.metrics["loss_rate_ratio"].add(r.breakdown.loss_rate_ratio);
-    out.metrics["rtt_ratio"].add(r.breakdown.rtt_ratio);
-    out.metrics["tcp_formula_ratio"].add(r.breakdown.tcp_formula_ratio);
-    out.metrics["friendliness"].add(r.breakdown.friendliness);
-    // Observability snapshot: every registered instrument surfaces as an
-    // obs_-prefixed sweep metric. The snapshot is deterministic (it never
-    // depends on --probe-interval), so cold and warm-cache aggregates agree.
-    for (const auto& [name, v] : r.obs) out.metrics["obs_" + name].add(v);
-    // Workload telemetry, only for churn runs — batches are homogeneous (one
-    // scenario shape), so the metric key set stays consistent within a batch
-    // and pre-workload summary files keep their exact key set.
-    if (!r.workload_active) continue;
-    const auto& wl = r.workload;
-    out.metrics["wl_arrivals"].add(static_cast<double>(wl.arrivals));
-    out.metrics["wl_completions"].add(static_cast<double>(wl.completions));
-    out.metrics["wl_rejections"].add(static_cast<double>(wl.rejections));
-    out.metrics["wl_mean_flows"].add(wl.mean_flows);
-    out.metrics["wl_mean_flows_tfrc"].add(wl.mean_flows_tfrc);
-    out.metrics["wl_mean_flows_tcp"].add(wl.mean_flows_tcp);
-    out.metrics["wl_peak_flows"].add(static_cast<double>(wl.peak_flows));
-    out.metrics["wl_tfrc_completion_s"].add(wl.tfrc_completion_s);
-    out.metrics["wl_tcp_completion_s"].add(wl.tcp_completion_s);
-    out.metrics["wl_tfrc_completion_cov"].add(wl.tfrc_completion_cov);
-    out.metrics["wl_tcp_completion_cov"].add(wl.tcp_completion_cov);
-    out.metrics["wl_tfrc_goodput_pps"].add(wl.tfrc_goodput_pps);
-    out.metrics["wl_tcp_goodput_pps"].add(wl.tcp_goodput_pps);
-    out.metrics["wl_tfrc_share"].add(wl.tfrc_share);
-    out.metrics["wl_tfrc_p"].add(wl.tfrc_p);
-    out.metrics["wl_tcp_p"].add(wl.tcp_p);
-    out.metrics["wl_mean_flows_aimd"].add(wl.mean_flows_aimd);
-    out.metrics["wl_mean_flows_rcp"].add(wl.mean_flows_rcp);
-    out.metrics["wl_aimd_completion_s"].add(wl.aimd_completion_s);
-    out.metrics["wl_rcp_completion_s"].add(wl.rcp_completion_s);
-    out.metrics["wl_aimd_completion_cov"].add(wl.aimd_completion_cov);
-    out.metrics["wl_rcp_completion_cov"].add(wl.rcp_completion_cov);
-    out.metrics["wl_aimd_goodput_pps"].add(wl.aimd_goodput_pps);
-    out.metrics["wl_rcp_goodput_pps"].add(wl.rcp_goodput_pps);
-    out.metrics["wl_aimd_p"].add(wl.aimd_p);
-    out.metrics["wl_rcp_p"].add(wl.rcp_p);
-    out.metrics["wl_qdelay_mean_s"].add(wl.qdelay_mean_s);
+    agg.at = 0;
+    agg.active = true;
+    visit_result(agg, r);
   }
   return out;
 }

@@ -222,13 +222,12 @@ ExperimentResult run_experiment(const Scenario& sc, const obs::RunObs* ro) {
     obs::CellTrace* trace = nullptr;
   } comp_obs;
   if (churn) {
-    static constexpr const char* kClsName[workload::kFlowClasses] = {"tfrc", "tcp", "aimd",
-                                                                     "rcp"};
     for (int c = 0; c < workload::kFlowClasses; ++c) {
-      reg.add_counter(std::string("wl_opens_") + kClsName[c], [&churn, c](double) {
+      const std::string tag(workload::kClassTags[c]);
+      reg.add_counter("wl_opens_" + tag, [&churn, c](double) {
         return static_cast<double>(churn->population().class_opens(c));
       });
-      reg.add_counter(std::string("wl_closes_") + kClsName[c], [&churn, c](double) {
+      reg.add_counter("wl_closes_" + tag, [&churn, c](double) {
         return static_cast<double>(churn->population().class_closes(c));
       });
     }
@@ -243,9 +242,8 @@ ExperimentResult run_experiment(const Scenario& sc, const obs::RunObs* ro) {
           auto* co = static_cast<CompObs*>(ctx);
           co->duration->record(t1 - t0);
           if (co->trace != nullptr) {
-            static constexpr const char* kSpan[workload::kFlowClasses] = {
-                "transfer:tfrc", "transfer:tcp", "transfer:aimd", "transfer:rcp"};
-            co->trace->span(t0, t1, kSpan[cls & 3], "transfers");
+            co->trace->span(t0, t1, "transfer:" + std::string(workload::kClassTags[cls]),
+                            "transfers");
           }
         },
         &comp_obs);

@@ -78,6 +78,49 @@ struct ExperimentResult {
   [[nodiscard]] std::vector<const FlowStats*> of_kind(const std::string& kind) const;
 };
 
+/// The one traversal of ExperimentResult's encoded fields, in wire order,
+/// walked by the payload codec, aggregate() and the cache salt's schema hash.
+/// A visitor provides field(FieldName, T&) for T = std::string, double,
+/// std::uint64_t, int (an i64 word) and bool (a 0/1 word), and
+/// list(FieldName, vector&, elem): a count, then elem(visitor, item) each.
+template <class V, class R>
+constexpr void visit_result(V& v, R& r) {
+  v.field("scenario_name", r.scenario_name);
+  v.list("flows", r.flows, [](auto& vv, auto& f) {
+    vv.field("kind", f.kind);
+    vv.field("flow_id", f.flow_id);
+    vv.field("throughput_pps", f.throughput_pps);
+    vv.field("p", f.p);
+    vv.field("mean_rtt_s", f.mean_rtt_s);
+    vv.field("formula_rate", f.formula_rate);
+    vv.field("normalized", f.normalized);
+    vv.field("cov_theta_thetahat", f.cov_theta_thetahat);
+    vv.field("normalized_cov", f.normalized_cov);
+    vv.field("loss_events", f.loss_events);
+  });
+  v.field("tfrc_throughput", r.tfrc_throughput);
+  v.field("tcp_throughput", r.tcp_throughput);
+  v.field("tfrc_p", r.tfrc_p);
+  v.field("tcp_p", r.tcp_p);
+  v.field("poisson_p", r.poisson_p);
+  v.field("tfrc_rtt", r.tfrc_rtt);
+  v.field("tcp_rtt", r.tcp_rtt);
+  v.field("bottleneck_utilization", r.bottleneck_utilization);
+  v.field("conservativeness", r.breakdown.conservativeness);
+  v.field("loss_rate_ratio", r.breakdown.loss_rate_ratio);
+  v.field("rtt_ratio", r.breakdown.rtt_ratio);
+  v.field("tcp_formula_ratio", r.breakdown.tcp_formula_ratio);
+  v.field("friendliness", r.breakdown.friendliness);
+  // Always encoded; aggregate() skips the workload block while the flag that
+  // precedes it is false.
+  v.field("workload_active", r.workload_active);
+  workload::visit_workload(v, r.workload);
+  v.list("obs", r.obs, [](auto& vv, auto& e) {
+    vv.field("name", e.first);
+    vv.field("value", e.second);
+  });
+}
+
 /// Runs the scenario to completion and computes all metrics. `ro` carries
 /// the optional observability request (probe interval, trace buffer, flight
 /// ring); null means instruments-only (snapshot still taken, no sampling).

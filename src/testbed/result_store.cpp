@@ -104,147 +104,65 @@ struct Header {
   return h;
 }
 
+// ---- the payload codec: visit_result's traversal, written or read ----------
+
+using workload::FieldName;
+
+struct PayloadWriter {
+  util::ByteWriter w;
+
+  void field(FieldName, const std::string& v) { w.str(v); }
+  void field(FieldName, double v) { w.f64(v); }
+  void field(FieldName, std::uint64_t v) { w.u64(v); }
+  void field(FieldName, int v) { w.i64(v); }
+  void field(FieldName, bool v) { w.u64(v ? 1 : 0); }
+  template <class T, class Fn>
+  void list(FieldName, const std::vector<T>& items, Fn elem) {
+    w.u64(items.size());
+    for (const T& item : items) elem(*this, item);
+  }
+};
+
+/// The writer's inverse. `canonical` drops on a word the writer cannot
+/// produce (a flag other than 0/1, an i64 outside int), so an accepted
+/// payload always re-encodes to itself.
+struct PayloadReader {
+  util::ByteReader r;
+  bool canonical = true;
+
+  void field(FieldName, std::string& v) { v = r.str(); }
+  void field(FieldName, double& v) { v = r.f64(); }
+  void field(FieldName, std::uint64_t& v) { v = r.u64(); }
+  void field(FieldName, int& v) {
+    const std::int64_t x = r.i64();
+    v = static_cast<int>(x);
+    canonical = canonical && v == x;
+  }
+  void field(FieldName, bool& v) {
+    const std::uint64_t x = r.u64();
+    v = x != 0;
+    canonical = canonical && x <= 1;
+  }
+  template <class T, class Fn>
+  void list(FieldName, std::vector<T>& items, Fn elem) {
+    const std::uint64_t n = r.u64();
+    for (std::uint64_t i = 0; i < n && r.ok(); ++i) elem(*this, items.emplace_back());
+  }
+};
+
 }  // namespace
 
 std::string encode_result(const ExperimentResult& r) {
-  util::ByteWriter w;
-  w.str(r.scenario_name);
-  w.u64(r.flows.size());
-  for (const auto& f : r.flows) {
-    w.str(f.kind);
-    w.i64(f.flow_id);
-    w.f64(f.throughput_pps);
-    w.f64(f.p);
-    w.f64(f.mean_rtt_s);
-    w.f64(f.formula_rate);
-    w.f64(f.normalized);
-    w.f64(f.cov_theta_thetahat);
-    w.f64(f.normalized_cov);
-    w.u64(f.loss_events);
-  }
-  w.f64(r.tfrc_throughput);
-  w.f64(r.tcp_throughput);
-  w.f64(r.tfrc_p);
-  w.f64(r.tcp_p);
-  w.f64(r.poisson_p);
-  w.f64(r.tfrc_rtt);
-  w.f64(r.tcp_rtt);
-  w.f64(r.bottleneck_utilization);
-  w.f64(r.breakdown.conservativeness);
-  w.f64(r.breakdown.loss_rate_ratio);
-  w.f64(r.breakdown.rtt_ratio);
-  w.f64(r.breakdown.tcp_formula_ratio);
-  w.f64(r.breakdown.friendliness);
-  w.u64(r.workload_active ? 1 : 0);
-  const auto& wl = r.workload;
-  w.u64(wl.arrivals);
-  w.u64(wl.completions);
-  w.u64(wl.rejections);
-  w.f64(wl.mean_flows);
-  w.f64(wl.mean_flows_tfrc);
-  w.f64(wl.mean_flows_tcp);
-  w.u64(wl.peak_flows);
-  w.f64(wl.tfrc_completion_s);
-  w.f64(wl.tcp_completion_s);
-  w.f64(wl.tfrc_completion_cov);
-  w.f64(wl.tcp_completion_cov);
-  w.f64(wl.tfrc_goodput_pps);
-  w.f64(wl.tcp_goodput_pps);
-  w.f64(wl.tfrc_share);
-  w.f64(wl.tfrc_p);
-  w.f64(wl.tcp_p);
-  w.f64(wl.mean_flows_aimd);
-  w.f64(wl.mean_flows_rcp);
-  w.f64(wl.aimd_completion_s);
-  w.f64(wl.rcp_completion_s);
-  w.f64(wl.aimd_completion_cov);
-  w.f64(wl.rcp_completion_cov);
-  w.f64(wl.aimd_goodput_pps);
-  w.f64(wl.rcp_goodput_pps);
-  w.f64(wl.aimd_p);
-  w.f64(wl.rcp_p);
-  w.f64(wl.qdelay_mean_s);
-  // PR 10: the deterministic obs snapshot (probe series are deliberately NOT
-  // encoded — a cache hit has no simulator to sample).
-  w.u64(r.obs.size());
-  for (const auto& [name, value] : r.obs) {
-    w.str(name);
-    w.f64(value);
-  }
-  return w.take();
+  PayloadWriter out;
+  visit_result(out, r);
+  return out.w.take();
 }
 
 std::optional<ExperimentResult> decode_result(std::string_view payload) {
-  util::ByteReader r(payload);
+  PayloadReader in{util::ByteReader(payload)};
   ExperimentResult out;
-  out.scenario_name = r.str();
-  const std::uint64_t n_flows = r.u64();
-  for (std::uint64_t i = 0; i < n_flows && r.ok(); ++i) {
-    FlowStats f;
-    f.kind = r.str();
-    f.flow_id = static_cast<int>(r.i64());
-    f.throughput_pps = r.f64();
-    f.p = r.f64();
-    f.mean_rtt_s = r.f64();
-    f.formula_rate = r.f64();
-    f.normalized = r.f64();
-    f.cov_theta_thetahat = r.f64();
-    f.normalized_cov = r.f64();
-    f.loss_events = r.u64();
-    out.flows.push_back(std::move(f));
-  }
-  out.tfrc_throughput = r.f64();
-  out.tcp_throughput = r.f64();
-  out.tfrc_p = r.f64();
-  out.tcp_p = r.f64();
-  out.poisson_p = r.f64();
-  out.tfrc_rtt = r.f64();
-  out.tcp_rtt = r.f64();
-  out.bottleneck_utilization = r.f64();
-  out.breakdown.conservativeness = r.f64();
-  out.breakdown.loss_rate_ratio = r.f64();
-  out.breakdown.rtt_ratio = r.f64();
-  out.breakdown.tcp_formula_ratio = r.f64();
-  out.breakdown.friendliness = r.f64();
-  out.workload_active = r.u64() != 0;
-  auto& wl = out.workload;
-  wl.arrivals = r.u64();
-  wl.completions = r.u64();
-  wl.rejections = r.u64();
-  wl.mean_flows = r.f64();
-  wl.mean_flows_tfrc = r.f64();
-  wl.mean_flows_tcp = r.f64();
-  wl.peak_flows = r.u64();
-  wl.tfrc_completion_s = r.f64();
-  wl.tcp_completion_s = r.f64();
-  wl.tfrc_completion_cov = r.f64();
-  wl.tcp_completion_cov = r.f64();
-  wl.tfrc_goodput_pps = r.f64();
-  wl.tcp_goodput_pps = r.f64();
-  wl.tfrc_share = r.f64();
-  wl.tfrc_p = r.f64();
-  wl.tcp_p = r.f64();
-  wl.mean_flows_aimd = r.f64();
-  wl.mean_flows_rcp = r.f64();
-  wl.aimd_completion_s = r.f64();
-  wl.rcp_completion_s = r.f64();
-  wl.aimd_completion_cov = r.f64();
-  wl.rcp_completion_cov = r.f64();
-  wl.aimd_goodput_pps = r.f64();
-  wl.rcp_goodput_pps = r.f64();
-  wl.aimd_p = r.f64();
-  wl.rcp_p = r.f64();
-  wl.qdelay_mean_s = r.f64();
-  const std::uint64_t n_obs = r.u64();
-  for (std::uint64_t i = 0; i < n_obs && r.ok(); ++i) {
-    std::string name = r.str();
-    const double value = r.f64();
-    out.obs.emplace_back(std::move(name), value);
-  }
-  if (!r.ok() || !r.exhausted() || out.flows.size() != n_flows ||
-      out.obs.size() != n_obs) {
-    return std::nullopt;
-  }
+  visit_result(in, out);
+  if (!in.r.ok() || !in.r.exhausted() || !in.canonical) return std::nullopt;
   return out;
 }
 

@@ -3,18 +3,19 @@
 // A run is keyed by (scenario fingerprint, derived seed, code-version salt):
 // the fingerprint covers every Scenario field except the seed
 // (scenario_io.hpp), the seed is the per-replication derived seed assigned
-// before the batch launches, and the salt names the simulator's behavioral
-// version — bump kResultCacheSalt whenever a change shifts sample paths or
-// metric definitions, and every stale entry silently becomes a miss.
+// before the batch launches, and the salt hashes the simulator's behavioral
+// version (bumped by hand) with the result schema (hashed from visit_result),
+// so every stale entry silently becomes a miss.
 //
 // Files are self-contained: a header carrying the magic, format version, the
 // full key, and an FNV-1a checksum of the payload, then the payload with
-// every double stored as its IEEE bit pattern. Loads therefore return
-// bit-identical results, and ANY defect — truncation, flipped bytes, a
-// foreign file — fails validation and reads as a miss (the runner falls back
-// to re-simulating; it never crashes on a bad cache). Writes go through a
-// temp file + rename so concurrent readers and crashed writers cannot
-// observe a half-written entry.
+// every double stored as its IEEE bit pattern. The decoder accepts only
+// payloads the encoder can write, so an accepted payload re-encodes to the
+// same bytes. Loads therefore return bit-identical results, and ANY defect —
+// truncation, flipped bytes, a foreign file — fails validation and reads as
+// a miss (the runner falls back to re-simulating; it never crashes on a bad
+// cache). Writes go through a temp file + rename so concurrent readers and
+// crashed writers cannot observe a half-written entry.
 //
 // Layout under root(): <2 hex of fingerprint>/<fingerprint>-<seed>-<salt>.ebrcres
 //
@@ -38,17 +39,60 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_set>
+#include <vector>
 
 #include "testbed/experiment.hpp"
 #include "testbed/scenario.hpp"
 
 namespace ebrc::testbed {
 
-/// Behavioral version of the simulator baked into every cache key. Bump on
-/// any change that alters sample paths or metrics (new RNG, packet-path
-/// reorder, metric redefinition, ...) so old entries are never replayed.
-inline constexpr std::uint64_t kResultCacheSalt = 7;  // PR 10: obs snapshot in the payload
+/// Behavioral version of the simulator: bump by hand on any change that
+/// alters sample paths or metric definitions (new RNG, packet-path reorder,
+/// metric redefinition, ...). Result schema changes are salted on their own.
+inline constexpr std::uint64_t kBehaviorVersion = 7;
+
+/// FNV-1a over the result schema as visit_result walks it: each field's wire
+/// kind and name in order, list elements included.
+struct SchemaHash {
+  std::uint64_t h = 14695981039346656037ull;
+
+  constexpr void byte(std::uint64_t b) { h = (h ^ (b & 0xff)) * 1099511628211ull; }
+  constexpr void text(std::string_view s) {  // NUL-terminated: no two texts alias
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+    byte(0);
+  }
+  template <class T>
+  constexpr void field(workload::FieldName n, const T&) {
+    text(std::is_same_v<T, std::string> ? "str"
+         : std::is_same_v<T, double>    ? "f64"
+         : std::is_same_v<T, int>       ? "i64"
+         : std::is_same_v<T, bool>      ? "flag"
+                                        : "u64");
+    text(n.str());
+  }
+  template <class T, class Fn>
+  constexpr void list(workload::FieldName n, const std::vector<T>&, Fn elem) {
+    text("list");
+    text(n.str());
+    T item{};
+    elem(*this, item);
+    text("end");
+  }
+};
+
+/// The salt: kBehaviorVersion's eight bytes, then the schema.
+[[nodiscard]] constexpr std::uint64_t schema_salt(std::uint64_t version) {
+  SchemaHash hash;
+  for (int i = 0; i < 64; i += 8) hash.byte(version >> i);
+  ExperimentResult schema;
+  visit_result(hash, schema);
+  return hash.h;
+}
+
+/// The salt baked into every cache key, so a schema change cannot miss it.
+inline constexpr std::uint64_t kResultCacheSalt = schema_salt(kBehaviorVersion);
 
 class ResultStore {
  public:

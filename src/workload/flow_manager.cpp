@@ -10,7 +10,12 @@ namespace ebrc::workload {
 
 namespace {
 
-[[nodiscard]] int class_index(FlowClass c) noexcept { return static_cast<int>(c); }
+/// TFRC's share of the goodput of the paper's two classes, TFRC and TCP.
+[[nodiscard]] double tfrc_share(const WorkloadSummary::PerClass& goodput) {
+  const double tfrc = goodput[class_index(FlowClass::kTfrc)];
+  const double total = tfrc + goodput[class_index(FlowClass::kTcp)];
+  return total > 0 ? tfrc / total : 0.0;
+}
 
 }  // namespace
 
@@ -151,20 +156,7 @@ void FlowManager::ensure_side(std::size_t idx, FlowClass cls) {
   const double rtt = cfg_.base_rtt_s * (1.0 + jitter);
   const double one_way = std::max(0.0, rtt / 2.0 - cfg_.shared_prop_s);
   sd.flow_id = net_.add_flow(one_way, rtt / 2.0);
-  switch (cls) {
-    case FlowClass::kTfrc:
-      sd.conn = pools_.make<tfrc::TfrcConnection>(net_, sd.flow_id, rtt, cfg_.tfrc);
-      break;
-    case FlowClass::kTcp:
-      sd.conn = pools_.make<tcp::TcpConnection>(net_, sd.flow_id, rtt, cfg_.tcp);
-      break;
-    case FlowClass::kDelayAimd:
-      sd.conn = pools_.make<delay_aimd::DelayAimdConnection>(net_, sd.flow_id, rtt, cfg_.aimd);
-      break;
-    case FlowClass::kRcp:
-      sd.conn = pools_.make<rcp::RcpConnection>(net_, sd.flow_id, rtt, cfg_.rcp);
-      break;
-  }
+  sd.conn = pools_.make(class_index(cls), net_, sd.flow_id, rtt, cfg_.class_configs());
 }
 
 void FlowManager::admit(int session_remaining) {
@@ -245,71 +237,37 @@ WorkloadSummary FlowManager::summarize() {
   out.completions = pop_.completions();
   out.rejections = pop_.rejections();
   out.mean_flows = pop_.mean_flows_total();
-  out.mean_flows_tfrc = pop_.mean_flows(class_index(FlowClass::kTfrc));
-  out.mean_flows_tcp = pop_.mean_flows(class_index(FlowClass::kTcp));
-  out.mean_flows_aimd = pop_.mean_flows(class_index(FlowClass::kDelayAimd));
-  out.mean_flows_rcp = pop_.mean_flows(class_index(FlowClass::kRcp));
   out.peak_flows = pop_.peak();
-  const auto& tfrc_t = pop_.completion_time(class_index(FlowClass::kTfrc));
-  const auto& tcp_t = pop_.completion_time(class_index(FlowClass::kTcp));
-  const auto& aimd_t = pop_.completion_time(class_index(FlowClass::kDelayAimd));
-  const auto& rcp_t = pop_.completion_time(class_index(FlowClass::kRcp));
-  out.tfrc_completion_s = tfrc_t.mean();
-  out.tcp_completion_s = tcp_t.mean();
-  out.aimd_completion_s = aimd_t.mean();
-  out.rcp_completion_s = rcp_t.mean();
-  out.tfrc_completion_cov = tfrc_t.cv();
-  out.tcp_completion_cov = tcp_t.cv();
-  out.aimd_completion_cov = aimd_t.cv();
-  out.rcp_completion_cov = rcp_t.cv();
 
-  // Per-class goodput and aggregate loss-event rate over the window, from
+  // Per class: goodput and aggregate loss-event rate over the window, from
   // the slots' cumulative counters against the epoch snapshots. One generic
   // Sender sweep covers the whole zoo, including the queuing-delay telemetry
   // only the delay-sensing classes report.
-  std::uint64_t delivered[kFlowClasses] = {};
-  std::uint64_t packets[kFlowClasses] = {};
-  std::uint64_t losses[kFlowClasses] = {};
-  std::uint64_t events[kFlowClasses] = {};
   double qd_sum = 0.0;
   std::uint64_t qd_count = 0;
   for (int c = 0; c < kFlowClasses; ++c) {
-    std::uint64_t del = 0, pk = 0, lo = 0, ev = 0;
+    std::uint64_t delivered = 0, packets = 0, losses = 0, events = 0;
     for (const SideState& sd : pools_.sides(c)) {
       if (sd.conn < 0) continue;
       pools_.with_sender(c, sd.conn, [&](const auto& conn) {
-        del += conn.delivered() - sd.delivered0;
+        delivered += conn.delivered() - sd.delivered0;
         const auto& rec = conn.recorder();
-        pk += rec.packets() - sd.packets0;
-        lo += rec.losses() - sd.losses0;
-        ev += rec.events() - sd.events0;
+        packets += rec.packets() - sd.packets0;
+        losses += rec.losses() - sd.losses0;
+        events += rec.events() - sd.events0;
         qd_sum += conn.queuing_delay_sum_s() - sd.qd_sum0;
         qd_count += conn.queuing_delay_samples() - sd.qd_count0;
       });
     }
-    delivered[c] = del;
-    packets[c] = pk;
-    losses[c] = lo;
-    events[c] = ev;
+    const auto& completion = pop_.completion_time(c);
+    out.mean_flows_by[c] = pop_.mean_flows(c);
+    out.completion_s[c] = completion.mean();
+    out.completion_cov[c] = completion.cv();
+    out.goodput_pps[c] = static_cast<double>(delivered) / window;
+    const std::uint64_t denom = packets + losses;
+    out.p[c] = denom > 0 ? static_cast<double>(events) / static_cast<double>(denom) : 0.0;
   }
-  const int tfrc_i = class_index(FlowClass::kTfrc);
-  const int tcp_i = class_index(FlowClass::kTcp);
-  const int aimd_i = class_index(FlowClass::kDelayAimd);
-  const int rcp_i = class_index(FlowClass::kRcp);
-  out.tfrc_goodput_pps = static_cast<double>(delivered[tfrc_i]) / window;
-  out.tcp_goodput_pps = static_cast<double>(delivered[tcp_i]) / window;
-  out.aimd_goodput_pps = static_cast<double>(delivered[aimd_i]) / window;
-  out.rcp_goodput_pps = static_cast<double>(delivered[rcp_i]) / window;
-  const double total = out.tfrc_goodput_pps + out.tcp_goodput_pps;
-  out.tfrc_share = total > 0 ? out.tfrc_goodput_pps / total : 0.0;
-  const auto rate = [](std::uint64_t ev, std::uint64_t pk, std::uint64_t lo) {
-    const std::uint64_t denom = pk + lo;
-    return denom > 0 ? static_cast<double>(ev) / static_cast<double>(denom) : 0.0;
-  };
-  out.tfrc_p = rate(events[tfrc_i], packets[tfrc_i], losses[tfrc_i]);
-  out.tcp_p = rate(events[tcp_i], packets[tcp_i], losses[tcp_i]);
-  out.aimd_p = rate(events[aimd_i], packets[aimd_i], losses[aimd_i]);
-  out.rcp_p = rate(events[rcp_i], packets[rcp_i], losses[rcp_i]);
+  out.tfrc_share = tfrc_share(out.goodput_pps);
   out.qdelay_mean_s = qd_count > 0 ? qd_sum / static_cast<double>(qd_count) : 0.0;
   return out;
 }

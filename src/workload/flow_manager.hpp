@@ -44,6 +44,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "net/dumbbell.hpp"
@@ -72,42 +73,70 @@ struct FlowManagerConfig {
   /// residency of any in-flight packet of the retired transfer.
   double drain_s = 0.5;
   std::uint64_t seed = 1;
+  /// One config per class, for FlowPools::make to pick by type.
+  [[nodiscard]] auto class_configs() const { return std::tie(tfrc, tcp, aimd, rcp); }
+};
+
+/// A result field's name. A per-class slot's pattern has a '*' for the class
+/// tag: {"*_p", kTcp} is "tcp_p".
+struct FieldName {
+  std::string_view pattern;
+  int cls = -1;  // the FlowClass of a per-class slot, else -1
+
+  constexpr FieldName(const char* name) : pattern(name) {}  // NOLINT: implicit by design
+  constexpr FieldName(std::string_view pat, int c) : pattern(pat), cls(c) {}
+  [[nodiscard]] constexpr std::string str() const {
+    std::string out(pattern);
+    if (cls >= 0) out.replace(out.find('*'), 1, kClassTags[cls]);
+    return out;
+  }
 };
 
 /// Long-run churn telemetry over the measurement window (begin_epoch to
-/// summarize), embedded into testbed::ExperimentResult.
+/// summarize), embedded into testbed::ExperimentResult. Per-class fields are
+/// arrays indexed by FlowClass; a class that carried no traffic reads zero.
 struct WorkloadSummary {
+  using PerClass = std::array<double, kFlowClasses>;
   std::uint64_t arrivals = 0;     // admitted transfers
   std::uint64_t completions = 0;  // transfers finished
   std::uint64_t rejections = 0;   // turned away, pool full
   double mean_flows = 0.0;        // time-averaged concurrent dynamic flows
-  double mean_flows_tfrc = 0.0;
-  double mean_flows_tcp = 0.0;
   std::uint64_t peak_flows = 0;   // max concurrent over the whole run
-  double tfrc_completion_s = 0.0;    // mean per-transfer completion time
-  double tcp_completion_s = 0.0;
-  double tfrc_completion_cov = 0.0;  // CoV of the completion time
-  double tcp_completion_cov = 0.0;
-  double tfrc_goodput_pps = 0.0;  // delivered packets / window, per class
-  double tcp_goodput_pps = 0.0;
   double tfrc_share = 0.0;        // tfrc goodput / (tfrc + tcp goodput)
-  double tfrc_p = 0.0;            // aggregate per-class loss-event rates
-  double tcp_p = 0.0;
-  // Controller-zoo classes (PR 9); zero when the class carried no traffic.
-  double mean_flows_aimd = 0.0;
-  double mean_flows_rcp = 0.0;
-  double aimd_completion_s = 0.0;
-  double rcp_completion_s = 0.0;
-  double aimd_completion_cov = 0.0;
-  double rcp_completion_cov = 0.0;
-  double aimd_goodput_pps = 0.0;
-  double rcp_goodput_pps = 0.0;
-  double aimd_p = 0.0;
-  double rcp_p = 0.0;
   /// Mean queuing delay over every delay-sensing sample in the window
   /// (delay-AIMD + RCP senders; zero when only loss-based classes ran).
   double qdelay_mean_s = 0.0;
+  PerClass mean_flows_by{};   // time-averaged concurrent flows
+  PerClass completion_s{};    // mean per-transfer completion time
+  PerClass completion_cov{};  // CoV of the completion time
+  PerClass goodput_pps{};     // delivered packets / window
+  PerClass p{};               // aggregate loss-event rate
 };
+
+/// WorkloadSummary's part of testbed::visit_result, named as aggregate()
+/// reports it. A new per-class metric is one PerClass member and one `each`.
+template <class V, class W>
+constexpr void visit_workload(V& v, W& w) {
+  v.field("wl_arrivals", w.arrivals);
+  v.field("wl_completions", w.completions);
+  v.field("wl_rejections", w.rejections);
+  v.field("wl_mean_flows", w.mean_flows);
+  // Cached payloads and goldens depend on this wire order: the TFRC/TCP pair
+  // with peak_flows and tfrc_share interleaved, then every later class.
+  for (const auto& span : {std::pair{0, 2}, std::pair{2, kFlowClasses}}) {
+    const auto each = [&](std::string_view pattern, auto& by_class) {
+      for (int c = span.first; c < span.second; ++c) v.field(FieldName{pattern, c}, by_class[c]);
+    };
+    each("wl_mean_flows_*", w.mean_flows_by);
+    if (span.first == 0) v.field("wl_peak_flows", w.peak_flows);
+    each("wl_*_completion_s", w.completion_s);
+    each("wl_*_completion_cov", w.completion_cov);
+    each("wl_*_goodput_pps", w.goodput_pps);
+    if (span.first == 0) v.field("wl_tfrc_share", w.tfrc_share);
+    each("wl_*_p", w.p);
+  }
+  v.field("wl_qdelay_mean_s", w.qdelay_mean_s);
+}
 
 class FlowManager {
  public:

@@ -41,10 +41,11 @@
 // paper, plus delay-based AIMD and RCP. TCP is its own ACK-clocked
 // transport; the other three are one paced transport,
 // net::PacedConnection<Law>, over their rate laws. ClassConnections lists
-// the connection type of each class once: make<Conn>() picks the class's
-// deque by type, every type is checked against the workload::Sender concept
-// below, and with_sender() dispatches a generic visitor over the class tag
-// so the manager's epoch sweeps are written once, not four times.
+// the connection type of each class once: every type is checked against the
+// workload::Sender concept below, make() builds a class's connection with
+// the config of its Config type, and with_sender() dispatches a generic
+// visitor over the class tag, so the manager's construction and epoch sweeps
+// are written once, not four times.
 //
 // Static tripwires pin the record layouts the same way the 56-B Packet and
 // 24-B queue-entry guards do: growing a record past its line budget is a
@@ -71,14 +72,19 @@ namespace ebrc::workload {
 
 enum class FlowClass : int { kTfrc = 0, kTcp = 1, kDelayAimd = 2, kRcp = 3 };
 
-/// The connection type behind each FlowClass, in enumerator order, and the
-/// `[workload] controller` name that pins it. Adding a controller appends
-/// its enumerator, its connection type and its name here.
+/// The connection type behind each FlowClass, in enumerator order, the
+/// `[workload] controller` name that pins it, and the tag that names its
+/// metrics (`wl_<tag>_p`). Adding a controller appends all four here.
 using ClassConnections = std::tuple<tfrc::TfrcConnection, tcp::TcpConnection,
                                     delay_aimd::DelayAimdConnection, rcp::RcpConnection>;
 inline constexpr int kFlowClasses = static_cast<int>(std::tuple_size_v<ClassConnections>);
 inline constexpr std::array<std::string_view, kFlowClasses> kControllerNames = {
     "tfrc", "tcp", "delay_aimd", "rcp"};
+inline constexpr std::array<std::string_view, kFlowClasses> kClassTags = {"tfrc", "tcp",
+                                                                          "aimd", "rcp"};
+
+/// Index of `c` in per-class arrays (WorkloadSummary, FlowPools).
+[[nodiscard]] constexpr int class_index(FlowClass c) noexcept { return static_cast<int>(c); }
 
 // The whole zoo satisfies the Sender contract — a controller that forgets
 // part of the pooled lifecycle fails here, at compile time.
@@ -166,13 +172,19 @@ class FlowPools {
     return sides_[cls];
   }
 
-  /// Constructs a `Conn` in its class pool (address-stable deque) and
-  /// returns its index for SideState::conn.
-  template <typename Conn, typename Config>
-  [[nodiscard]] std::int32_t make(net::Dumbbell& net, int flow_id, double rtt, const Config& cfg) {
-    auto& pool = std::get<std::deque<Conn>>(conns_);
-    pool.emplace_back(net, flow_id, rtt, cfg);
-    return static_cast<std::int32_t>(pool.size() - 1);
+  /// Constructs a connection of class `cls` in its pool (address-stable
+  /// deque), configured by the `Conn::Config` element of the tuple `configs`,
+  /// and returns its index for SideState::conn.
+  template <typename Configs>
+  [[nodiscard]] std::int32_t make(int cls, net::Dumbbell& net, int flow_id, double rtt,
+                                  const Configs& configs) {
+    std::int32_t idx = -1;
+    dispatch(conns_, cls, [&](auto& pool) {
+      using Conn = typename std::decay_t<decltype(pool)>::value_type;
+      pool.emplace_back(net, flow_id, rtt, std::get<const typename Conn::Config&>(configs));
+      idx = static_cast<std::int32_t>(pool.size() - 1);
+    });
+    return idx;
   }
 
   /// Applies `fn` to connection `c` of class `cls` as whatever concrete
@@ -180,20 +192,21 @@ class FlowPools {
   /// against the Sender concept and dispatched here.
   template <typename Fn>
   void with_sender(int cls, std::int32_t c, Fn&& fn) {
-    dispatch(conns_, cls, c, fn);
+    dispatch(conns_, cls, [&](auto& pool) { fn(pool[c]); });
   }
   template <typename Fn>
   void with_sender(int cls, std::int32_t c, Fn&& fn) const {
-    dispatch(conns_, cls, c, fn);
+    dispatch(conns_, cls, [&](const auto& pool) { fn(pool[c]); });
   }
 
  private:
   [[nodiscard]] bool has_class(int cls) const noexcept { return (classes_ >> cls) & 1u; }
 
+  /// Applies `fn` to the connection pool of class `cls`.
   template <typename Conns, typename Fn>
-  static void dispatch(Conns& conns, int cls, std::int32_t c, Fn& fn) {
+  static void dispatch(Conns& conns, int cls, Fn&& fn) {
     [&]<std::size_t... I>(std::index_sequence<I...>) {
-      (void)((cls == static_cast<int>(I) && (fn(std::get<I>(conns)[c]), true)) || ...);
+      (void)((cls == static_cast<int>(I) && (fn(std::get<I>(conns)), true)) || ...);
     }(std::make_index_sequence<kFlowClasses>{});
   }
 

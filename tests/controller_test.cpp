@@ -208,10 +208,8 @@ TEST(ControllerMatrix, EachControllerCarriesTheWholeWorkload) {
     EXPECT_GT(wl.completions, 0u) << ctrl;
 
     // Telemetry lands in the pinned class's slice and nowhere else.
-    const double goodputs[4] = {wl.tfrc_goodput_pps, wl.tcp_goodput_pps, wl.aimd_goodput_pps,
-                                wl.rcp_goodput_pps};
-    const double flows[4] = {wl.mean_flows_tfrc, wl.mean_flows_tcp, wl.mean_flows_aimd,
-                             wl.mean_flows_rcp};
+    const auto& goodputs = wl.goodput_pps;
+    const auto& flows = wl.mean_flows_by;
     const int expected = ctrl == "tfrc" ? 0 : ctrl == "tcp" ? 1 : ctrl == "delay_aimd" ? 2 : 3;
     for (int c = 0; c < 4; ++c) {
       if (c == expected) {

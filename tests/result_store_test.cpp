@@ -18,12 +18,14 @@
 #include <string>
 #include <vector>
 
+#include "result_fields.hpp"
 #include "testbed/batch.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/fault_injection.hpp"
 #include "testbed/result_store.hpp"
 #include "testbed/scenario.hpp"
 #include "testbed/scenario_io.hpp"
+#include "util/binary_io.hpp"
 
 namespace {
 
@@ -57,60 +59,10 @@ struct TempDir {
   ~TempDir() { fs::remove_all(path); }
 };
 
+using ebrc::testing::expect_same_fields;
+
 void expect_bits(double a, double b, const char* what) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b)) << what;
-}
-
-/// Full bitwise equality over every ExperimentResult field.
-void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
-  EXPECT_EQ(a.scenario_name, b.scenario_name);
-  ASSERT_EQ(a.flows.size(), b.flows.size());
-  for (std::size_t i = 0; i < a.flows.size(); ++i) {
-    EXPECT_EQ(a.flows[i].kind, b.flows[i].kind);
-    EXPECT_EQ(a.flows[i].flow_id, b.flows[i].flow_id);
-    expect_bits(a.flows[i].throughput_pps, b.flows[i].throughput_pps, "throughput_pps");
-    expect_bits(a.flows[i].p, b.flows[i].p, "p");
-    expect_bits(a.flows[i].mean_rtt_s, b.flows[i].mean_rtt_s, "mean_rtt_s");
-    expect_bits(a.flows[i].formula_rate, b.flows[i].formula_rate, "formula_rate");
-    expect_bits(a.flows[i].normalized, b.flows[i].normalized, "normalized");
-    expect_bits(a.flows[i].cov_theta_thetahat, b.flows[i].cov_theta_thetahat, "cov");
-    expect_bits(a.flows[i].normalized_cov, b.flows[i].normalized_cov, "normalized_cov");
-    EXPECT_EQ(a.flows[i].loss_events, b.flows[i].loss_events);
-  }
-  expect_bits(a.tfrc_throughput, b.tfrc_throughput, "tfrc_throughput");
-  expect_bits(a.tcp_throughput, b.tcp_throughput, "tcp_throughput");
-  expect_bits(a.tfrc_p, b.tfrc_p, "tfrc_p");
-  expect_bits(a.tcp_p, b.tcp_p, "tcp_p");
-  expect_bits(a.poisson_p, b.poisson_p, "poisson_p");
-  expect_bits(a.tfrc_rtt, b.tfrc_rtt, "tfrc_rtt");
-  expect_bits(a.tcp_rtt, b.tcp_rtt, "tcp_rtt");
-  expect_bits(a.bottleneck_utilization, b.bottleneck_utilization, "bottleneck_utilization");
-  expect_bits(a.breakdown.conservativeness, b.breakdown.conservativeness, "conservativeness");
-  expect_bits(a.breakdown.loss_rate_ratio, b.breakdown.loss_rate_ratio, "loss_rate_ratio");
-  expect_bits(a.breakdown.rtt_ratio, b.breakdown.rtt_ratio, "rtt_ratio");
-  expect_bits(a.breakdown.tcp_formula_ratio, b.breakdown.tcp_formula_ratio,
-              "tcp_formula_ratio");
-  expect_bits(a.breakdown.friendliness, b.breakdown.friendliness, "friendliness");
-  EXPECT_EQ(a.workload_active, b.workload_active);
-  EXPECT_EQ(a.workload.arrivals, b.workload.arrivals);
-  EXPECT_EQ(a.workload.completions, b.workload.completions);
-  EXPECT_EQ(a.workload.rejections, b.workload.rejections);
-  expect_bits(a.workload.mean_flows, b.workload.mean_flows, "wl.mean_flows");
-  expect_bits(a.workload.mean_flows_tfrc, b.workload.mean_flows_tfrc, "wl.mean_flows_tfrc");
-  expect_bits(a.workload.mean_flows_tcp, b.workload.mean_flows_tcp, "wl.mean_flows_tcp");
-  EXPECT_EQ(a.workload.peak_flows, b.workload.peak_flows);
-  expect_bits(a.workload.tfrc_completion_s, b.workload.tfrc_completion_s,
-              "wl.tfrc_completion_s");
-  expect_bits(a.workload.tcp_completion_s, b.workload.tcp_completion_s, "wl.tcp_completion_s");
-  expect_bits(a.workload.tfrc_completion_cov, b.workload.tfrc_completion_cov,
-              "wl.tfrc_completion_cov");
-  expect_bits(a.workload.tcp_completion_cov, b.workload.tcp_completion_cov,
-              "wl.tcp_completion_cov");
-  expect_bits(a.workload.tfrc_goodput_pps, b.workload.tfrc_goodput_pps, "wl.tfrc_goodput_pps");
-  expect_bits(a.workload.tcp_goodput_pps, b.workload.tcp_goodput_pps, "wl.tcp_goodput_pps");
-  expect_bits(a.workload.tfrc_share, b.workload.tfrc_share, "wl.tfrc_share");
-  expect_bits(a.workload.tfrc_p, b.workload.tfrc_p, "wl.tfrc_p");
-  expect_bits(a.workload.tcp_p, b.workload.tcp_p, "wl.tcp_p");
 }
 
 TEST(ResultStore, HitIsBitIdenticalToFreshRun) {
@@ -122,7 +74,7 @@ TEST(ResultStore, HitIsBitIdenticalToFreshRun) {
 
   const auto cached = store.load(s);
   ASSERT_TRUE(cached.has_value());
-  expect_identical(fresh, *cached);
+  expect_same_fields(fresh, *cached);
   const auto c = store.counters();
   EXPECT_EQ(c.hits, 1u);
   EXPECT_EQ(c.stored, 1u);
@@ -133,9 +85,53 @@ TEST(ResultStore, CodecRoundTripsExactly) {
   const ExperimentResult fresh = ebrc::testbed::run_experiment(short_ns2(7));
   const auto decoded = ebrc::testbed::decode_result(ebrc::testbed::encode_result(fresh));
   ASSERT_TRUE(decoded.has_value());
-  expect_identical(fresh, *decoded);
+  expect_same_fields(fresh, *decoded);
   EXPECT_FALSE(ebrc::testbed::decode_result("garbage").has_value());
   EXPECT_FALSE(ebrc::testbed::decode_result("").has_value());
+}
+
+/// `payload` with the 8-byte word at `at` replaced by `word`.
+std::string with_word(std::string payload, std::size_t at, std::uint64_t word) {
+  ebrc::util::ByteWriter w;
+  w.u64(word);
+  return payload.replace(at, 8, w.bytes());
+}
+
+/// Offset of the first occurrence of `v`'s wire bytes in `payload`.
+std::size_t offset_of(const std::string& payload, double v) {
+  ebrc::util::ByteWriter w;
+  w.f64(v);
+  const std::size_t at = payload.find(w.bytes());
+  EXPECT_NE(at, std::string::npos);
+  return at;
+}
+
+// Every payload decode_result accepts must re-encode to the same bytes; the
+// two words below used to decode into values that encode differently.
+TEST(ResultCodec, RejectsWorkloadFlagOtherThanZeroOrOne) {
+  ExperimentResult r;
+  r.breakdown.friendliness = 1234.5678;  // the flag word follows it on the wire
+  const std::string payload = ebrc::testbed::encode_result(r);
+  const std::size_t flag_at = offset_of(payload, 1234.5678) + 8;
+  ASSERT_TRUE(ebrc::testbed::decode_result(with_word(payload, flag_at, 1)).has_value());
+  EXPECT_FALSE(ebrc::testbed::decode_result(with_word(payload, flag_at, 2)).has_value());
+}
+
+TEST(ResultCodec, RejectsFlowIdOutsideInt) {
+  ExperimentResult r;
+  ebrc::testbed::FlowStats f;
+  f.kind = "tfrc";
+  f.flow_id = 3;
+  f.throughput_pps = 4321.8765;  // the flow id precedes it on the wire
+  r.flows.push_back(f);
+  const std::string payload = ebrc::testbed::encode_result(r);
+  const std::size_t id_at = offset_of(payload, 4321.8765) - 8;
+  ASSERT_TRUE(ebrc::testbed::decode_result(with_word(payload, id_at, 3)).has_value());
+  EXPECT_FALSE(
+      ebrc::testbed::decode_result(with_word(payload, id_at, 3 + (std::uint64_t{1} << 40)))
+          .has_value());
+  const auto negative = static_cast<std::uint64_t>(std::int64_t{-7});
+  ASSERT_TRUE(ebrc::testbed::decode_result(with_word(payload, id_at, negative)).has_value());
 }
 
 TEST(ResultStore, MissesOnAnyPerturbation) {
@@ -164,6 +160,28 @@ TEST(ResultStore, MissesOnAnyPerturbation) {
   ResultStore salted(dir.path, ebrc::testbed::kResultCacheSalt + 1);
   EXPECT_FALSE(salted.load(s).has_value());
   EXPECT_EQ(store.counters().misses, 4u);
+}
+
+TEST(ResultStore, EntryUnderAnotherSaltIsACountedMissNotCorrupt) {
+  // 7 was the hand-kept salt before the schema was hashed into it: entries
+  // written under it, or under any stale schema, must read as plain misses.
+  TempDir dir;
+  const Scenario s = short_ns2(31);
+  ResultStore stale(dir.path, 7);
+  stale.store(s, ebrc::testbed::run_experiment(s));
+
+  ResultStore store(dir.path);
+  EXPECT_FALSE(store.load(s).has_value());
+  const auto c = store.counters();
+  EXPECT_EQ(c.misses, 1u);
+  EXPECT_EQ(c.corrupt, 0u);
+  EXPECT_EQ(c.quarantined, 0u);
+  EXPECT_TRUE(fs::exists(stale.path_for(s)));
+
+  // The salt moves with the behavioral version as well as with the schema.
+  EXPECT_NE(ebrc::testbed::kResultCacheSalt, 7u);
+  EXPECT_NE(ebrc::testbed::schema_salt(ebrc::testbed::kBehaviorVersion + 1),
+            ebrc::testbed::kResultCacheSalt);
 }
 
 TEST(ResultStore, CorruptAndTruncatedEntriesReadAsMisses) {
@@ -205,11 +223,11 @@ TEST(ResultStore, CorruptAndTruncatedEntriesReadAsMisses) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(report.hits, 0u);
   EXPECT_EQ(report.simulated, 1u);
-  expect_identical(fresh, out[0]);
+  expect_same_fields(fresh, out[0]);
   EXPECT_TRUE(ebrc::testbed::validate_result_file(entry));
   const auto healed = store.load(s);
   ASSERT_TRUE(healed.has_value());
-  expect_identical(fresh, *healed);
+  expect_same_fields(fresh, *healed);
 }
 
 TEST(ResultStore, BatchRunnerWarmCacheSimulatesNothing) {
@@ -229,7 +247,7 @@ TEST(ResultStore, BatchRunnerWarmCacheSimulatesNothing) {
   EXPECT_EQ(warm.hits, 4u);
   EXPECT_TRUE(warm.complete());
   ASSERT_EQ(first.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) expect_identical(first[i], second[i]);
+  for (std::size_t i = 0; i < first.size(); ++i) expect_same_fields(first[i], second[i]);
 }
 
 TEST(ResultStore, ShardedSweepMergesBitIdenticalForEveryShardCount) {
@@ -253,7 +271,7 @@ TEST(ResultStore, ShardedSweepMergesBitIdenticalForEveryShardCount) {
       simulated_total += rep.simulated;
       // Shard-local cells are already bit-identical to the reference.
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (rep.available[i] != 0) expect_identical(reference[i], part[i]);
+        if (rep.available[i] != 0) expect_same_fields(reference[i], part[i]);
       }
     }
     // Every run simulated exactly once across all shards.
@@ -264,7 +282,7 @@ TEST(ResultStore, ShardedSweepMergesBitIdenticalForEveryShardCount) {
     EXPECT_EQ(merged_rep.simulated, 0u) << "shard count " << count;
     EXPECT_EQ(merged_rep.hits, batch.size()) << "shard count " << count;
     ASSERT_TRUE(merged_rep.complete());
-    for (std::size_t i = 0; i < batch.size(); ++i) expect_identical(reference[i], merged[i]);
+    for (std::size_t i = 0; i < batch.size(); ++i) expect_same_fields(reference[i], merged[i]);
 
     // And the aggregate folds to the same accumulators, bit for bit.
     const auto merged_agg = ebrc::testbed::aggregate(merged);
@@ -413,7 +431,7 @@ TEST(ResultStore, TornCacheWriteIsQuarantinedWithForensicsFile) {
   store.store(s, fresh);
   const auto healed = store.load(s);
   ASSERT_TRUE(healed.has_value());
-  expect_identical(fresh, *healed);
+  expect_same_fields(fresh, *healed);
   EXPECT_TRUE(fs::exists(forensics));
 }
 

@@ -228,10 +228,13 @@ void expect_identical(const Scenario& a, const Scenario& b) {
 
 // Layout tripwire: if one of these sizes changes, a field was added to (or
 // removed from) the serialized structs — update visit_scenario in
-// scenario_io.cpp, the generator/comparator in THIS file, bump
-// testbed::kResultCacheSalt, and then update the expected sizes. The
-// constants are libstdc++/LP64 layout (what CI builds); other ABIs skip
-// rather than chase a schema change that never happened.
+// scenario_io.cpp, the generator/comparator in THIS file, and then the
+// expected sizes. The fingerprint covers the new field on its own; bump
+// testbed::kBehaviorVersion only if the change also shifts the sample paths
+// of existing scenarios. (Result fields need no tripwire: the result schema
+// is hashed into kResultCacheSalt from visit_result.) The constants are
+// libstdc++/LP64 layout (what CI builds); other ABIs skip rather than chase
+// a schema change that never happened.
 TEST(ScenarioIo, SerializedStructLayoutsUnchanged) {
 #if defined(__GLIBCXX__) && defined(__x86_64__)
   EXPECT_EQ(sizeof(ebrc::testbed::Scenario), 544u);

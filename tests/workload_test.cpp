@@ -14,7 +14,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -23,6 +22,7 @@
 
 #include "net/dumbbell.hpp"
 #include "net/queue.hpp"
+#include "result_fields.hpp"
 #include "sim/simulator.hpp"
 #include "stats/population.hpp"
 #include "tcp/tcp_connection.hpp"
@@ -58,34 +58,7 @@ struct TempDir {
   ~TempDir() { fs::remove_all(path); }
 };
 
-void expect_bits(double a, double b, const char* what) {
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b)) << what;
-}
-
-/// Bitwise equality of the churn-relevant result surface.
-void expect_same_workload(const testbed::ExperimentResult& a,
-                          const testbed::ExperimentResult& b) {
-  EXPECT_EQ(a.workload_active, b.workload_active);
-  EXPECT_EQ(a.workload.arrivals, b.workload.arrivals);
-  EXPECT_EQ(a.workload.completions, b.workload.completions);
-  EXPECT_EQ(a.workload.rejections, b.workload.rejections);
-  EXPECT_EQ(a.workload.peak_flows, b.workload.peak_flows);
-  expect_bits(a.workload.mean_flows, b.workload.mean_flows, "mean_flows");
-  expect_bits(a.workload.mean_flows_tfrc, b.workload.mean_flows_tfrc, "mean_flows_tfrc");
-  expect_bits(a.workload.mean_flows_tcp, b.workload.mean_flows_tcp, "mean_flows_tcp");
-  expect_bits(a.workload.tfrc_completion_s, b.workload.tfrc_completion_s, "tfrc_completion_s");
-  expect_bits(a.workload.tcp_completion_s, b.workload.tcp_completion_s, "tcp_completion_s");
-  expect_bits(a.workload.tfrc_completion_cov, b.workload.tfrc_completion_cov,
-              "tfrc_completion_cov");
-  expect_bits(a.workload.tcp_completion_cov, b.workload.tcp_completion_cov,
-              "tcp_completion_cov");
-  expect_bits(a.workload.tfrc_goodput_pps, b.workload.tfrc_goodput_pps, "tfrc_goodput_pps");
-  expect_bits(a.workload.tcp_goodput_pps, b.workload.tcp_goodput_pps, "tcp_goodput_pps");
-  expect_bits(a.workload.tfrc_share, b.workload.tfrc_share, "tfrc_share");
-  expect_bits(a.workload.tfrc_p, b.workload.tfrc_p, "tfrc_p");
-  expect_bits(a.workload.tcp_p, b.workload.tcp_p, "tcp_p");
-  expect_bits(a.bottleneck_utilization, b.bottleneck_utilization, "utilization");
-}
+using ebrc::testing::expect_same_fields;
 
 // ---- connection lifecycle ----------------------------------------------------
 
@@ -185,7 +158,10 @@ TEST(FlowPool, CapsConcurrencyRecyclesSlotsAndRejectsOverload) {
   EXPECT_GT(summary.tfrc_share, 0.0);
   EXPECT_LT(summary.tfrc_share, 1.0);
   EXPECT_GT(summary.mean_flows, 0.0);
-  EXPECT_NEAR(summary.mean_flows, summary.mean_flows_tfrc + summary.mean_flows_tcp, 1e-9);
+  EXPECT_NEAR(summary.mean_flows,
+              summary.mean_flows_by[workload::class_index(workload::FlowClass::kTfrc)] +
+                  summary.mean_flows_by[workload::class_index(workload::FlowClass::kTcp)],
+              1e-9);
 }
 
 TEST(FlowPool, SessionsSpawnThinkTimeFollowups) {
@@ -235,7 +211,9 @@ TEST(Churn, ExperimentReportsWorkloadTelemetry) {
   EXPECT_GT(r.workload.completions, 20u);
   EXPECT_GT(r.workload.mean_flows, 0.0);
   EXPECT_GT(r.workload.peak_flows, 0u);
-  EXPECT_GT(r.workload.tfrc_goodput_pps + r.workload.tcp_goodput_pps, 0.0);
+  EXPECT_GT(r.workload.goodput_pps[workload::class_index(workload::FlowClass::kTfrc)] +
+                r.workload.goodput_pps[workload::class_index(workload::FlowClass::kTcp)],
+            0.0);
   EXPECT_GE(r.workload.tfrc_share, 0.0);
   EXPECT_LE(r.workload.tfrc_share, 1.0);
   EXPECT_GT(r.bottleneck_utilization, 0.2);
@@ -257,7 +235,7 @@ TEST(Churn, BitIdenticalAcrossJobCounts) {
   const auto parallel = testbed::BatchRunner(8).run(batch);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_same_workload(serial[i], parallel[i]);
+    expect_same_fields(serial[i], parallel[i]);
   }
 }
 
@@ -276,7 +254,7 @@ TEST(Churn, SweepThroughCacheAndShardsIsBitIdentical) {
   const auto warm = runner.run(batch, &store, {}, &warm_rep);
   EXPECT_EQ(warm_rep.simulated, 0u);
   EXPECT_EQ(warm_rep.hits, batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) expect_same_workload(cold[i], warm[i]);
+  for (std::size_t i = 0; i < batch.size(); ++i) expect_same_fields(cold[i], warm[i]);
 
   // Two shards into separate stores, folded through a shared directory (the
   // stores validate on load), then an unsharded warm pass: bit-identical.
@@ -303,7 +281,7 @@ TEST(Churn, SweepThroughCacheAndShardsIsBitIdentical) {
   const auto merged_run = runner.run(batch, &merged, {}, &merged_rep);
   EXPECT_EQ(merged_rep.simulated, 0u);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    expect_same_workload(cold[i], merged_run[i]);
+    expect_same_fields(cold[i], merged_run[i]);
   }
 
   // The overload scenario must actually exercise the many-flows regime.
