@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 namespace ebrc::sim {
@@ -36,6 +37,11 @@ namespace {
 // itself; ~8k 24-byte entries ≈ 192 KiB, the scale where the lower tree
 // levels start missing L2.
 constexpr std::size_t kPrefetchHeapSize = 8192;
+// Wheel front-run lookahead, in events: the callback's pinned slot is
+// prefetched 2 * kLookahead events ahead and the state it points to
+// kLookahead events ahead, so each load is issued a few callbacks before it
+// is needed (the slot line is in by the time its first word is read).
+constexpr std::size_t kLookahead = 3;
 }  // namespace
 
 void Simulator::throw_negative_delay() {
@@ -122,7 +128,8 @@ void Simulator::run_until(Time horizon) {
     // The next event to run is usually already known (the wheel's run head or
     // the new heap top): start pulling its callback line in while this
     // event's callback executes.
-    const QueuedEvent* nw = wheel_.peek_ready();
+    const std::span<const QueuedEvent> ahead = wheel_.ready();
+    const QueuedEvent* nw = ahead.empty() ? nullptr : &ahead.front();
     const Entry* nh = heap_.empty() ? nullptr : &heap_.front();
     if (const Entry* nx = (nw != nullptr && (nh == nullptr || earlier(*nw, *nh))) ? nw : nh) {
       const std::uint32_t next = nx->slot;
@@ -134,6 +141,20 @@ void Simulator::run_until(Time horizon) {
         __builtin_prefetch(&pinned_[next & ~kPinnedBit]);
       }
 #endif
+    }
+    // The front run holds only pinned entries, in pop order: with more
+    // callbacks and targets than the caches hold, start their lines in a few
+    // events early. Small simulators skip it — their lines are already hot
+    // and the extra loads only cost.
+    if (lookahead_) {
+#if defined(__GNUC__) || defined(__clang__)
+      if (ahead.size() > 2 * kLookahead) {
+        __builtin_prefetch(&pinned_[ahead[2 * kLookahead].slot & ~kPinnedBit]);
+      }
+#endif
+      if (ahead.size() > kLookahead) {
+        pinned_[ahead[kLookahead].slot & ~kPinnedBit].prefetch_target();
+      }
     }
     if ((e.slot & kPinnedBit) != 0) {
       // Pinned fast path: no liveness check, no retire, no callback move —

@@ -20,6 +20,13 @@
 //     working set in two cache lines — while the callbacks themselves sit
 //     still inside the slab and are moved exactly once, out of the slot,
 //     when their entry is popped.
+//   - Pinned callbacks (registered once, scheduled as bare entries) go to
+//     a hierarchical timing wheel once it has calibrated (timing_wheel.hpp);
+//     its tick follows the measured event density, so each refill loads a
+//     sorted front run of several events. While that run drains, the
+//     callback and the object its first word points to are prefetched a few
+//     events ahead — in simulators with more pinned callbacks than the
+//     caches hold (kLookaheadPins), where those loads miss.
 //   - Liveness tracking uses a pooled generation slab shared by the
 //     simulator and its handles: scheduling recycles slots from a free list
 //     (the old shared_ptr<bool>-per-event design is long gone), and the slot
@@ -383,6 +390,7 @@ class Simulator {
   /// simulator's lifetime. Safe to call between runs (storage is stable).
   PinnedEvent pin(EventFn fn) {
     pinned_.push_back(std::move(fn));
+    lookahead_ = pinned_.size() > kLookaheadPins;
     return static_cast<PinnedEvent>(pinned_.size() - 1) | kPinnedBit;
   }
 
@@ -416,7 +424,7 @@ class Simulator {
   /// Runs until the queue drains completely.
   void run();
 
-  /// Pre-sizes the heap, slab, and wheel buckets for `events` concurrently
+  /// Pre-sizes the heap, slab, and wheel node pool for `events` concurrently
   /// pending events, so warm-up bursts don't pay vector regrowth on the hot
   /// path.
   void reserve(std::size_t events) {
@@ -502,6 +510,10 @@ class Simulator {
   }
 
   static constexpr std::size_t kDefaultReserve = 256;
+  /// Pinned-callback count above which run_until prefetches a few events
+  /// ahead along the wheel's front run: ~8k 64-byte callbacks (512 KiB) plus
+  /// the components they point into no longer stay cache-resident.
+  static constexpr std::size_t kLookaheadPins = 8192;
   /// Tags a heap entry's slot as a pinned-callback index. Distinct from
   /// EventSlab's kWideBit (the top bit): a pinned entry never reaches the
   /// slab, and slab indices stay far below 2^30.
@@ -516,6 +528,7 @@ class Simulator {
   std::vector<Entry> heap_;  // 4-ary min-heap: children of i at 4i+1 .. 4i+4
   std::deque<EventFn> pinned_;  // deque: pin() during a run never relocates
   TimingWheel wheel_;  // pinned entries after calibration; merged at pop
+  bool lookahead_ = false;  // pinned_.size() > kLookaheadPins
   KernelRing ring_;   // null records (the default) = recording disabled
 };
 

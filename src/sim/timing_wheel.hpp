@@ -14,27 +14,41 @@
 //
 // Layout: three levels of 256 buckets. A level-0 bucket is one tick wide, a
 // level-1 bucket covers 256 ticks, a level-2 bucket 2^16 ticks; deadlines
-// beyond the 2^24-tick span wait in an overflow ring that is rehomed once
+// beyond the 2^24-tick span wait in an overflow list that is rehomed once
 // per span crossing. Each level keeps a 256-bit occupancy bitmap so "next
 // nonempty bucket" is a couple of countr_zero scans, never a walk over
-// empty vectors. The front of the wheel is a sorted "run" — the current
+// empty buckets. The front of the wheel is a sorted "run" — the current
 // tick's events, drained in key order through a head index; cascades are
 // lazy (an upper-level bucket is scattered down only when the scan enters
 // its window).
 //
-// The tick granularity is calibrated once per simulator from the first 64
-// positive pinned delays (dt = p25/16, clamped): until then pinned entries
-// go to the heap exactly as before, and because the tick mapping only needs
-// to be MONOTONE in the deadline — equal times share a tick, a tick's
-// events are key-sorted on load — the calibration choice can never perturb
-// execution order, only bucket occupancy.
+// Storage: every bucket (and the overflow list) is an index-linked list over
+// one node array with a free list. A node is a queue entry whose 32-bit link
+// sits in the entry's tail padding, so storage grows with the number of
+// PENDING events — never with each bucket's past peak — and cascades,
+// rehomes and re-ticks relink nodes instead of copying them.
+//
+// Tick: calibrated at activation from the first 64 positive pinned delays
+// (dt = p25/16, clamped): until then pinned entries go to the heap, which
+// fixes the heap/wheel routing. After that the tick follows the event
+// density, in the manner of Brown's calendar queue (CACM 1988): once every
+// 2^14 wheel events, at a refill boundary, a mean front-run length outside
+// [2, 64] re-ticks the wheel to the window's event rate times a target run of
+// 8 events, and every pending node is relinked under the new tick. The
+// inputs are simulated times and counts, so a run stays deterministic. And
+// because the tick mapping only needs to be MONOTONE in the deadline — equal
+// times share a tick, a tick's events are key-sorted on load — no tick can
+// ever perturb execution order, only bucket occupancy.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <iterator>
+#include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace ebrc::sim {
@@ -88,8 +102,16 @@ class TimingWheel {
   static constexpr int kLevels = 3;
   static constexpr std::uint64_t kSpanTicks = 1ull << (kLevels * kBucketBits);
   static constexpr int kCalibrationSamples = 64;
+  /// Density re-tick: wheel events per measurement window, the band of mean
+  /// front-run lengths left alone, and the run length a re-tick aims for.
+  static constexpr std::uint64_t kRetickWindow = 1ull << 14;
+  static constexpr double kMinRun = 2.0;
+  static constexpr double kMaxRun = 64.0;
+  static constexpr double kTargetRun = 8.0;
 
-  TimingWheel() = default;
+  TimingWheel() {
+    for (auto& lvl : heads_) std::fill(std::begin(lvl), std::end(lvl), kNil);
+  }
   TimingWheel(const TimingWheel&) = delete;
   TimingWheel& operator=(const TimingWheel&) = delete;
 
@@ -97,8 +119,13 @@ class TimingWheel {
   /// simulator keeps routing pinned entries to the heap.
   [[nodiscard]] bool active() const noexcept { return active_; }
 
-  /// Calibrated tick width in seconds (0 until active).
+  /// Current tick width in seconds (0 until active; moves on re-ticks).
   [[nodiscard]] double granularity() const noexcept { return dt_; }
+
+  /// Front runs formed so far (tests: wheel pops / loads is the mean run
+  /// length). Deliberately kept out of result telemetry — the count depends
+  /// on the tick policy, and results must not.
+  [[nodiscard]] std::uint64_t loads() const noexcept { return loads_; }
 
   /// Feeds one positive pinned-delay sample; the 64th activates the wheel at
   /// dt = p25/16, so a typical delay spans ~16 ticks and same-tick pileups
@@ -115,23 +142,14 @@ class TimingWheel {
   /// Activates immediately with an explicit granularity (benchmarks and the
   /// wheel's own unit tests; production goes through observe()).
   void activate(double dt, Time now) {
-    dt_ = dt;
-    inv_dt_ = 1.0 / dt;
+    set_tick(dt);
     pos_ = tick_of(now);
+    window_t0_ = now;
     active_ = true;
-    // Seed every bucket with a uniform capacity, once. Bucket indexes are
-    // touched for the first time throughout the first full rotation of their
-    // level — minutes of simulated time for level 1, hours for level 2 at
-    // typical granularities — and a fresh vector's geometric growth would
-    // otherwise trickle allocations long past any warm-up window. The seed
-    // must cover the per-bucket occupancy of a steady workload (churn at RTT
-    // granularity peaks around 32 per level-2 bucket); ~600 KB per activated
-    // simulator buys an allocation-free steady state.
-    for (auto& b : l0_) b.reserve(kSeedCapacity);
-    for (auto& b : l1_) b.reserve(kSeedCapacity);
-    for (auto& b : l2_) b.reserve(kSeedCapacity);
-    run_.reserve(4 * kSeedCapacity);
-    overflow_.reserve(4 * kSeedCapacity);
+    // The re-tick keeps the mean run within [kMinRun, kMaxRun], so a run
+    // buffer of a few times kMaxRun covers the runs of any steady workload
+    // and the front run stops allocating once the wheel is active.
+    run_.reserve(kRunSeed);
   }
 
   /// Number of events currently queued (front run + buckets + overflow).
@@ -153,12 +171,12 @@ class TimingWheel {
       return;
     }
     ++pending_;
-    place(e, t, pos_);
+    place(alloc(e), t, pos_);
   }
 
   /// Earliest queued event, or nullptr when empty. May advance the wheel
-  /// (lazy cascade + load of the next occupied tick); never touches time
-  /// semantics, so calling it early is always safe.
+  /// (lazy cascade, re-tick, load of the next occupied tick); never touches
+  /// time semantics, so calling it early is always safe.
   [[nodiscard]] const QueuedEvent* peek() {
     if (run_head_ < run_.size()) return &run_[run_head_];
     if (pending_ == 0) return nullptr;
@@ -167,9 +185,10 @@ class TimingWheel {
     return &run_[run_head_];
   }
 
-  /// Non-advancing peek: the front-run head if one is ready (prefetch hints).
-  [[nodiscard]] const QueuedEvent* peek_ready() const noexcept {
-    return run_head_ < run_.size() ? &run_[run_head_] : nullptr;
+  /// Non-advancing view of the front run from its head: the events that pop
+  /// next, in order (prefetch hints look a few entries ahead).
+  [[nodiscard]] std::span<const QueuedEvent> ready() const noexcept {
+    return std::span<const QueuedEvent>(run_).subspan(run_head_);
   }
 
   /// Consumes the event returned by the last peek().
@@ -178,21 +197,34 @@ class TimingWheel {
     ++run_head_;
   }
 
-  /// Pre-sizes the front run and level-0 buckets for `events` concurrently
-  /// pending events. Skipped for small simulators — 256 tiny allocations
-  /// would cost more than they save.
+  /// Pre-sizes the node pool for `events` concurrently pending events.
+  /// Skipped for small simulators, whose pool stays in cache anyway.
   void reserve(std::size_t events) {
     if (events < 4 * kBuckets) return;
-    const std::size_t per = events / kBuckets + 1;
-    run_.reserve(2 * per);
-    for (auto& b : l0_) b.reserve(per);
-    overflow_.reserve(kBuckets);
+    nodes_.reserve(events);
   }
 
  private:
   static constexpr std::uint64_t kMask = kBuckets - 1;
   static constexpr std::uint64_t kWords = kBuckets / 64;
-  static constexpr std::size_t kSeedCapacity = 32;  // per-bucket, at activation
+  static constexpr std::uint32_t kNil = ~0u;
+  static constexpr std::size_t kRunSeed = 4 * static_cast<std::size_t>(kMaxRun);
+
+  /// A bucket-list node: a QueuedEvent's fields with the list link in the
+  /// entry's tail padding, so the pool costs what the entries alone would.
+  struct Node {
+    Time at;
+    std::uint64_t seq;
+    std::uint32_t slot;
+    std::uint32_t next;  // next node of the same list, or kNil
+  };
+  static_assert(sizeof(Node) == sizeof(QueuedEvent) && sizeof(Node) == 24,
+                "a node is a queue entry plus the link in its tail padding");
+
+  void set_tick(double dt) {
+    dt_ = dt;
+    inv_dt_ = 1.0 / dt;
+  }
 
   /// Maps a deadline to its tick. Only MONOTONICITY matters for correctness
   /// (equal times share a tick; ticks are key-sorted on load); the clamp
@@ -203,25 +235,53 @@ class TimingWheel {
     return static_cast<std::uint64_t>(x);
   }
 
-  static void add(std::vector<QueuedEvent>* lvl, std::uint64_t* occ, std::uint64_t idx,
-                  const QueuedEvent& e) {
-    lvl[idx].push_back(e);
-    occ[idx >> 6] |= 1ull << (idx & 63);
+  std::uint32_t alloc(const QueuedEvent& e) {
+    const Node n{e.at, e.seq, e.slot, kNil};
+    if (free_ == kNil) {
+      nodes_.push_back(n);
+      return static_cast<std::uint32_t>(nodes_.size() - 1);
+    }
+    const std::uint32_t i = free_;
+    free_ = nodes_[i].next;
+    nodes_[i] = n;
+    return i;
   }
 
-  /// Routes an event with tick `t` > `p` into the level whose window around
-  /// `p` contains it (or overflow beyond the span). Invariant: level-0 holds
-  /// only p's 256-tick window, level-1 p's 2^16 window, level-2 p's 2^24
-  /// window — so a level-0 bucket always holds exactly one tick value.
-  void place(const QueuedEvent& e, std::uint64_t t, std::uint64_t p) {
+  /// Moves node `i`'s event onto the back of the front run and frees it.
+  void take(std::uint32_t i) {
+    const Node& n = nodes_[i];
+    run_.push_back(QueuedEvent{n.at, n.seq, n.slot});
+    nodes_[i].next = free_;
+    free_ = i;
+    --pending_;
+  }
+
+  /// Empties bucket `idx` of level `lvl` and returns its former head; the
+  /// caller walks the nodes and relinks or takes each.
+  std::uint32_t detach(int lvl, std::uint64_t idx) noexcept {
+    occ_[lvl][idx >> 6] &= ~(1ull << (idx & 63));
+    return std::exchange(heads_[lvl][idx], kNil);
+  }
+
+  void link(int lvl, std::uint64_t idx, std::uint32_t i) noexcept {
+    nodes_[i].next = std::exchange(heads_[lvl][idx], i);
+    occ_[lvl][idx >> 6] |= 1ull << (idx & 63);
+  }
+
+  /// Routes node `i` with tick `t` > `p` (or == `p` during a scan) into the
+  /// level whose window around `p` contains it, or overflow beyond the span.
+  /// Invariant: level-0 holds only p's 256-tick window, level-1 p's 2^16
+  /// window, level-2 p's 2^24 window — so a level-0 bucket always holds
+  /// exactly one tick value.
+  void place(std::uint32_t i, std::uint64_t t, std::uint64_t p) noexcept {
     if ((t >> kBucketBits) == (p >> kBucketBits)) {
-      add(l0_, occ0_, t & kMask, e);
+      link(0, t & kMask, i);
     } else if ((t >> (2 * kBucketBits)) == (p >> (2 * kBucketBits))) {
-      add(l1_, occ1_, (t >> kBucketBits) & kMask, e);
+      link(1, (t >> kBucketBits) & kMask, i);
     } else if ((t >> (3 * kBucketBits)) == (p >> (3 * kBucketBits))) {
-      add(l2_, occ2_, (t >> (2 * kBucketBits)) & kMask, e);
+      link(2, (t >> (2 * kBucketBits)) & kMask, i);
     } else {
-      overflow_.push_back(e);
+      nodes_[i].next = std::exchange(overflow_, i);
     }
   }
 
@@ -238,65 +298,94 @@ class TimingWheel {
     }
   }
 
-  void scatter2(std::uint64_t i, std::uint64_t p) {
-    std::vector<QueuedEvent>& b = l2_[i];
-    occ2_[i >> 6] &= ~(1ull << (i & 63));
-    for (const QueuedEvent& e : b) {
-      const std::uint64_t t = tick_of(e.at);
-      if ((t >> kBucketBits) == (p >> kBucketBits)) {
-        add(l0_, occ0_, t & kMask, e);
-      } else {
-        add(l1_, occ1_, (t >> kBucketBits) & kMask, e);
-      }
+  /// Scatters the covering bucket `idx` of level `lvl` down into the lower
+  /// levels of `p`'s window (its ticks all share p's upper index bits).
+  void scatter(int lvl, std::uint64_t idx, std::uint64_t p) noexcept {
+    for (std::uint32_t i = detach(lvl, idx); i != kNil;) {
+      const std::uint32_t next = nodes_[i].next;
+      place(i, tick_of(nodes_[i].at), p);
+      i = next;
     }
-    b.clear();
-  }
-
-  void scatter1(std::uint64_t i, std::uint64_t p) {
-    std::vector<QueuedEvent>& b = l1_[i];
-    occ1_[i >> 6] &= ~(1ull << (i & 63));
-    (void)p;  // covering bucket: every tick is in p's level-0 window
-    for (const QueuedEvent& e : b) add(l0_, occ0_, tick_of(e.at) & kMask, e);
-    b.clear();
   }
 
   /// Crossed out of pos_'s 2^24 window: every bucket is empty, so jump to the
-  /// window of the earliest overflow deadline and partition that window's
-  /// events back into the levels, in place.
+  /// window of the earliest overflow deadline and relink that window's
+  /// events into the levels.
   void rehome(std::uint64_t& p) {
-    assert(!overflow_.empty());
+    assert(overflow_ != kNil);
     std::uint64_t tmin = ~0ull;
-    for (const QueuedEvent& e : overflow_) tmin = std::min(tmin, tick_of(e.at));
+    for (std::uint32_t i = overflow_; i != kNil; i = nodes_[i].next) {
+      tmin = std::min(tmin, tick_of(nodes_[i].at));
+    }
     if ((tmin >> (3 * kBucketBits)) > (p >> (3 * kBucketBits))) {
       p = (tmin >> (3 * kBucketBits)) << (3 * kBucketBits);
     }
     pos_ = p;  // p is a span start here, so no queued tick can precede it
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < overflow_.size(); ++i) {
-      const QueuedEvent e = overflow_[i];
-      const std::uint64_t t = tick_of(e.at);
-      if ((t >> (3 * kBucketBits)) == (p >> (3 * kBucketBits))) {
-        place(e, t, p);  // same span, so never routes back to overflow
-      } else {
-        overflow_[keep++] = e;
-      }
+    for (std::uint32_t i = std::exchange(overflow_, kNil); i != kNil;) {
+      const std::uint32_t next = nodes_[i].next;
+      place(i, tick_of(nodes_[i].at), p);  // beyond p's span: back to overflow
+      i = next;
     }
-    overflow_.resize(keep);
   }
 
-  /// Loads level-0 bucket `k` (one tick's events) into the front run. The
-  /// events are COPIED out (a memcpy of PODs), not swapped: swapping storage
-  /// would rotate capacities through bucket indexes, and every rarely-used
-  /// bucket would re-inject a small vector into the rotation — with stable
-  /// per-object storage each vector's capacity grows monotonically to its
-  /// index's peak load and steady state is allocation-free.
+  /// Loads level-0 bucket `k` (one tick's events) into the front run.
   void load(std::uint64_t k) {
-    std::vector<QueuedEvent>& b = l0_[k];
-    occ0_[k >> 6] &= ~(1ull << (k & 63));
-    pending_ -= b.size();
-    run_.assign(b.begin(), b.end());  // run_ was cleared at refill entry
-    b.clear();
+    for (std::uint32_t i = detach(0, k); i != kNil;) {
+      const std::uint32_t next = nodes_[i].next;
+      take(i);
+      i = next;
+    }
     std::sort(run_.begin(), run_.end(), EarlierCompare{});
+    ++loads_;
+  }
+
+  /// Density re-tick, called at a refill boundary (run drained, `last_at` the
+  /// time of the last event popped) once kRetickWindow wheel events have
+  /// been drained since the previous check. When the window's mean run
+  /// length left [kMinRun, kMaxRun], the tick becomes kTargetRun times the
+  /// window's mean gap between wheel events, and every pending node is
+  /// relinked under it; pos_ becomes last_at's tick, whose events go straight
+  /// into the run. A same-instant pileup no tick can split would keep asking
+  /// for the same tick, so a re-tick within 2x of the current one is
+  /// skipped. Returns true when the run is non-empty afterwards.
+  bool retick(Time last_at) {
+    const double events = static_cast<double>(window_events_);
+    const double mean_run = events / static_cast<double>(window_runs_);
+    const double span = last_at - window_t0_;
+    window_events_ = 0;
+    window_runs_ = 0;
+    window_t0_ = last_at;
+    if ((mean_run >= kMinRun && mean_run <= kMaxRun) || !(span > 0.0)) return false;
+    const double dt = std::clamp(kTargetRun * span / events, 1e-9, 1e6);
+    if (dt > 0.5 * dt_ && dt < 2.0 * dt_) return false;
+    // Gather every pending node into one chain, then relink it under the
+    // new tick.
+    std::uint32_t all = std::exchange(overflow_, kNil);
+    for (int lvl = 0; lvl < kLevels; ++lvl) {
+      for (std::uint64_t idx = 0; idx < kBuckets; ++idx) {
+        for (std::uint32_t i = detach(lvl, idx); i != kNil;) {
+          const std::uint32_t next = nodes_[i].next;
+          nodes_[i].next = std::exchange(all, i);
+          i = next;
+        }
+      }
+    }
+    set_tick(dt);
+    pos_ = tick_of(last_at);
+    for (std::uint32_t i = all; i != kNil;) {
+      const std::uint32_t next = nodes_[i].next;
+      const std::uint64_t t = tick_of(nodes_[i].at);
+      if (t <= pos_) {
+        take(i);
+      } else {
+        place(i, t, pos_);
+      }
+      i = next;
+    }
+    if (run_.empty()) return false;
+    std::sort(run_.begin(), run_.end(), EarlierCompare{});
+    ++loads_;
+    return true;
   }
 
   /// Advances to the next occupied tick and loads it. Requires pending_ > 0.
@@ -306,29 +395,35 @@ class TimingWheel {
   /// to the window start of a found bucket — never past unexamined ticks.
   void refill() {
     assert(run_head_ == run_.size() && pending_ > 0);
+    if (!run_.empty()) {
+      window_events_ += run_.size();
+      ++window_runs_;
+    }
+    const Time last_at = run_.empty() ? window_t0_ : run_.back().at;
     run_.clear();
     run_head_ = 0;
+    if (window_events_ >= kRetickWindow && retick(last_at)) return;
     std::uint64_t p = pos_ + 1;
     for (;;) {
       if ((p >> (3 * kBucketBits)) != (pos_ >> (3 * kBucketBits))) rehome(p);
       const std::uint64_t i2 = (p >> (2 * kBucketBits)) & kMask;
-      if (!l2_[i2].empty()) scatter2(i2, p);
+      if (heads_[2][i2] != kNil) scatter(2, i2, p);
       const std::uint64_t i1 = (p >> kBucketBits) & kMask;
-      if (!l1_[i1].empty()) scatter1(i1, p);
-      const int k = find_from(occ0_, p & kMask);
+      if (heads_[1][i1] != kNil) scatter(1, i1, p);
+      const int k = find_from(occ_[0], p & kMask);
       if (k >= 0) {
         p = (p & ~kMask) | static_cast<std::uint64_t>(k);
         load(static_cast<std::uint64_t>(k));
         pos_ = p;
         return;
       }
-      const int j = find_from(occ1_, ((p >> kBucketBits) & kMask) + 1);
+      const int j = find_from(occ_[1], ((p >> kBucketBits) & kMask) + 1);
       if (j >= 0) {
         p = (p & ~(kMask << kBucketBits | kMask)) |
             (static_cast<std::uint64_t>(j) << kBucketBits);
         continue;
       }
-      const int m = find_from(occ2_, ((p >> (2 * kBucketBits)) & kMask) + 1);
+      const int m = find_from(occ_[2], ((p >> (2 * kBucketBits)) & kMask) + 1);
       if (m >= 0) {
         p = (p & ~(kSpanTicks - 1)) | (static_cast<std::uint64_t>(m) << (2 * kBucketBits));
         continue;
@@ -342,17 +437,19 @@ class TimingWheel {
   std::uint64_t pos_ = 0;       // drained watermark: buckets hold ticks > pos_
   std::size_t pending_ = 0;     // events in buckets + overflow (run_ excluded)
   std::size_t run_head_ = 0;    // consumption index into run_
+  std::uint64_t loads_ = 0;     // front runs formed
+  std::uint64_t window_events_ = 0;  // re-tick window: wheel events drained
+  std::uint64_t window_runs_ = 0;    // re-tick window: runs drained
+  Time window_t0_ = 0.0;             // re-tick window: simulated start
   bool active_ = false;
   int sample_count_ = 0;
   double samples_[kCalibrationSamples] = {};
-  std::uint64_t occ0_[kWords] = {};
-  std::uint64_t occ1_[kWords] = {};
-  std::uint64_t occ2_[kWords] = {};
-  std::vector<QueuedEvent> run_;       // current tick, key-sorted
-  std::vector<QueuedEvent> overflow_;  // deadlines beyond the 2^24-tick span
-  std::vector<QueuedEvent> l0_[kBuckets];
-  std::vector<QueuedEvent> l1_[kBuckets];
-  std::vector<QueuedEvent> l2_[kBuckets];
+  std::uint64_t occ_[kLevels][kWords] = {};
+  std::uint32_t heads_[kLevels][kBuckets];  // bucket lists (kNil = empty)
+  std::uint32_t overflow_ = kNil;           // deadlines beyond the 2^24-tick span
+  std::uint32_t free_ = kNil;               // free-node list
+  std::vector<Node> nodes_;                 // the node pool
+  std::vector<QueuedEvent> run_;            // current tick, key-sorted
 };
 
 }  // namespace ebrc::sim

@@ -135,6 +135,29 @@ TEST(InlineFunction, CompressRoundTripsTinyAndBoxedCallables) {
   EXPECT_FALSE(none_back);
 }
 
+TEST(InlineFunction, PrefetchTargetIsAHintOnEveryRepresentation) {
+  // The kernel calls prefetch_target() on whatever pinned callback sits a
+  // few events ahead: empty, captureless, `this`-like, non-pointer and
+  // heap-boxed state must all be safe to hint at and stay callable.
+  int calls = 0;
+  EventFn none;
+  EventFn captureless([] {});
+  EventFn pointer([&calls] { ++calls; });
+  const double d = 1.5;
+  EventFn value([d, &calls] { calls += d > 1.0 ? 1 : 0; });
+  struct {
+    double a[8];
+  } big{{0, 0, 0, 0, 0, 0, 0, 1}};
+  EventFn boxed([big, &calls] { calls += static_cast<int>(big.a[7]); });
+  ASSERT_TRUE(boxed.uses_heap());
+  for (const EventFn* f : {&none, &captureless, &pointer, &value, &boxed}) f->prefetch_target();
+  captureless();
+  pointer();
+  value();
+  boxed();
+  EXPECT_EQ(calls, 3);
+}
+
 TEST(InlineFunction, SchedulingSmallCapturesAllocatesNothing) {
   // The acceptance property of the kernel rewrite: zero heap allocations per
   // scheduled event for captures up to 56 bytes — including timer churn.

@@ -3,20 +3,31 @@
 // The wheel's contract is total-order equivalence: any interleaving of
 // push/pop (with pushes never before the last popped time — the simulator
 // clock's guarantee) must drain in exactly the 128-bit (time bits ‖ seq) key
-// order, no matter which level, the overflow ring, or a lazy cascade
-// boundary an event traverses. The property tests drive the wheel against a
-// std::multiset model under several granularity regimes; the deterministic
-// tests aim at the classic wheel bugs — window-start ticks, bucket wrap,
-// span crossings, -0.0 deadlines, equal-time FIFO ties.
+// order, no matter which level, the overflow list, a lazy cascade boundary
+// or a density re-tick an event traverses. The property tests drive the
+// wheel against a std::multiset model under several granularity regimes and
+// density shifts; the deterministic tests aim at the classic wheel bugs —
+// window-start ticks, bucket wrap, span crossings, re-ticks with overflow
+// residents, -0.0 deadlines, equal-time FIFO ties. The tripwires at the end
+// check that the tick follows real workloads' density: front runs long
+// enough to prefetch along.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <deque>
 #include <set>
 #include <vector>
 
+#include "net/dumbbell.hpp"
+#include "net/queue.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timing_wheel.hpp"
+#include "tcp/tcp_connection.hpp"
+#include "testbed/scenario.hpp"
+#include "tfrc/tfrc_connection.hpp"
+#include "workload/flow_manager.hpp"
 
 namespace {
 
@@ -25,11 +36,12 @@ using ebrc::sim::QueuedEvent;
 using ebrc::sim::TimingWheel;
 
 // Layout tripwires: queue entries are the PODs both structures shuffle, and
-// the wheel itself must stay a flat ~19 KB of bucket headers (768 vectors +
-// bitmaps), never grow per-event state.
+// the wheel itself must stay a flat ~4 KB of list heads (768 32-bit bucket
+// heads + bitmaps + calibration samples), never grow per-event state — the
+// events live in its node pool.
 static_assert(sizeof(QueuedEvent) == 24);
 static_assert(std::is_trivially_copyable_v<QueuedEvent>);
-static_assert(sizeof(TimingWheel) < 20 * 1024);
+static_assert(sizeof(TimingWheel) < 5 * 1024);
 
 std::uint64_t splitmix(std::uint64_t& s) {
   std::uint64_t z = (s += 0x9E3779B97F4A7C15ull);
@@ -38,45 +50,83 @@ std::uint64_t splitmix(std::uint64_t& s) {
   return z ^ (z >> 31);
 }
 
-// Random push/pop interleaving vs an exact model. `max_delay_qticks` is the
-// delay range in QUARTER ticks, so delays include 0, sub-tick fractions, and
-// whatever multiple of the span the caller wants.
-void run_property(double dt, std::uint64_t max_delay_qticks, int ops, std::uint64_t seed) {
+// A wheel driven in lockstep with an exact std::multiset model: every pop
+// must return the model's minimum, bit for bit.
+struct Checked {
   TimingWheel w;
-  w.activate(dt, 0.0);
   std::multiset<QueuedEvent, EarlierCompare> model;
-  std::uint64_t rng = seed;
-  double now = 0.0;
   std::uint64_t seq = 0;
-  for (int i = 0; i < ops; ++i) {
-    ASSERT_EQ(w.size(), model.size());
-    if (model.empty() || (splitmix(rng) & 3u) != 0) {
-      const double delay =
-          static_cast<double>(splitmix(rng) % max_delay_qticks) * dt * 0.25;
-      const QueuedEvent e{now + delay, seq++, 7u};
-      w.push(e);
-      model.insert(e);
-    } else {
-      const QueuedEvent* p = w.peek();
-      ASSERT_NE(p, nullptr);
-      const QueuedEvent expect = *model.begin();
-      ASSERT_EQ(p->seq, expect.seq) << "op " << i;
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(p->at),
-                std::bit_cast<std::uint64_t>(expect.at));
-      now = p->at;
-      w.pop_front();
-      model.erase(model.begin());
-    }
+  double now = 0.0;  // time of the last pop
+
+  void push(double at) {
+    const QueuedEvent e{at, seq++, 7u};
+    w.push(e);
+    model.insert(e);
   }
-  while (!model.empty()) {
+  // Pops one event and checks it against the model; returns its time.
+  double pop() {
     const QueuedEvent* p = w.peek();
-    ASSERT_NE(p, nullptr);
-    ASSERT_EQ(p->seq, model.begin()->seq);
+    EXPECT_NE(p, nullptr);
+    EXPECT_FALSE(model.empty());
+    if (p == nullptr || model.empty()) return now;
+    const QueuedEvent expect = *model.begin();
+    EXPECT_EQ(p->seq, expect.seq) << "pop at " << now;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(p->at), std::bit_cast<std::uint64_t>(expect.at));
+    now = p->at;
     w.pop_front();
     model.erase(model.begin());
+    return now;
   }
-  EXPECT_EQ(w.size(), 0u);
-  EXPECT_EQ(w.peek(), nullptr);
+  void drain() {
+    while (!model.empty() && !::testing::Test::HasFailure()) pop();
+    EXPECT_EQ(w.size(), 0u);
+    EXPECT_EQ(w.peek(), nullptr);
+  }
+};
+
+// One stretch of a random push/pop interleaving. Delays are multiples of
+// `unit_ticks` ticks — of the granularity at the phase's start — below
+// `max_units`, so 0 and exact ties occur. With `hold` = 0 three ops in four
+// are pushes; otherwise the queue is held at `hold` events, every pop
+// followed by one push, as in a simulator whose events each book the next.
+struct Phase {
+  double unit_ticks;
+  std::uint64_t max_units;
+  int ops;
+  std::size_t hold = 0;
+};
+
+// Runs the phases in order against the model and returns the wheel's
+// granularity at the end of each.
+std::vector<double> run_phases(double dt, const std::vector<Phase>& phases, std::uint64_t seed) {
+  Checked c;
+  c.w.activate(dt, 0.0);
+  std::uint64_t rng = seed;
+  std::vector<double> ticks;
+  for (const Phase& ph : phases) {
+    const double unit = ph.unit_ticks * c.w.granularity();
+    for (int i = 0; i < ph.ops && !::testing::Test::HasFailure(); ++i) {
+      EXPECT_EQ(c.w.size(), c.model.size());
+      const bool push = ph.hold == 0 ? c.model.empty() || (splitmix(rng) & 3u) != 0
+                                     : c.model.size() < ph.hold;
+      if (push) {
+        c.push(c.now + static_cast<double>(splitmix(rng) % ph.max_units) * unit);
+      } else {
+        c.pop();
+      }
+    }
+    ticks.push_back(c.w.granularity());
+  }
+  c.drain();
+  return ticks;
+}
+
+// Random push/pop interleaving in one granularity regime, too short for a
+// re-tick. `max_delay_qticks` is the delay range in QUARTER ticks, so delays
+// include 0, sub-tick fractions, and whatever multiple of the span the
+// caller wants.
+void run_property(double dt, std::uint64_t max_delay_qticks, int ops, std::uint64_t seed) {
+  run_phases(dt, {Phase{0.25, max_delay_qticks, ops}}, seed);
 }
 
 TEST(TimingWheel, PropertyLevel0AndBucketWrap) {
@@ -93,6 +143,59 @@ TEST(TimingWheel, PropertyOverflowAndRehome) {
   // Delays up to 4 spans (2^26 ticks): the overflow ring is rehomed across
   // several 2^24-tick window crossings.
   run_property(1e-6, 1ull << 28, 4000, 0xFEEDBEEF);
+}
+
+TEST(TimingWheel, PropertyRetickFollowsDensityShifts) {
+  // A held queue of 256 events under three densities, each phase long
+  // enough for a full re-tick window of its own: dense (delays within a
+  // quarter tick, so ~1000 events per run), sparse (delays up to 4 spans:
+  // overflow and rehome, ~1 event per run), dense again. The tick must
+  // shrink, grow and shrink again, and every pop must match the model.
+  constexpr double kSpan = static_cast<double>(TimingWheel::kSpanTicks);
+  const double dt0 = 1e-3;
+  const std::vector<double> ticks =
+      run_phases(dt0,
+                 {Phase{1.0 / 1024, 256, 60000, 256}, Phase{4 * kSpan / 1024, 1024, 60000, 256},
+                  Phase{1.0 / 1024, 256, 60000, 256}},
+                 0x5EED5EED);
+  ASSERT_EQ(ticks.size(), 3u);
+  EXPECT_LT(ticks[0], dt0 / 16) << "dense phase must re-tick finer";
+  EXPECT_GT(ticks[1], ticks[0] * 16) << "sparse phase must re-tick coarser";
+  EXPECT_LT(ticks[2], ticks[1] / 16) << "dense again must re-tick finer";
+}
+
+TEST(TimingWheel, RetickWithOverflowResidentsAndSameInstantRebookings) {
+  // dt = 1 s, so ticks are seconds. A resident beyond the 2^24-tick span
+  // waits in the overflow list while a one-event-per-tick chain drains a
+  // full re-tick window; at the refill after it the mean run is 1, so the
+  // tick becomes 8 x the 1 s mean gap. The two events booked just before
+  // share the new tick with the last pop and go straight into the run; the
+  // same-instant re-booking made while that run drains joins it in key
+  // order, and the overflow resident still pops last.
+  Checked c;
+  c.w.activate(1.0, 0.0);
+  constexpr double kFar = static_cast<double>(TimingWheel::kSpanTicks) + 3.0;
+  c.push(kFar);
+  constexpr auto kWindow = static_cast<double>(TimingWheel::kRetickWindow);
+  for (double t = 1.0; t <= kWindow; t += 1.0) {
+    c.push(t);
+    ASSERT_EQ(c.pop(), t);
+  }
+  ASSERT_EQ(c.w.granularity(), 1.0);
+  c.push(kWindow + 2.0);
+  c.push(kWindow + 3.0);
+  ASSERT_EQ(c.pop(), kWindow + 2.0);  // this refill re-ticks
+  EXPECT_EQ(c.w.granularity(), 8.0);
+  EXPECT_EQ(c.w.ready().size(), 1u) << "kWindow + 3 shares the new tick with the last pop";
+  c.push(kWindow + 2.0);  // same-instant re-booking into the current tick
+  c.push(kWindow + 2.5);
+  c.push(kWindow + 64.0);
+  EXPECT_EQ(c.pop(), kWindow + 2.0);
+  EXPECT_EQ(c.pop(), kWindow + 2.5);
+  EXPECT_EQ(c.pop(), kWindow + 3.0);
+  EXPECT_EQ(c.pop(), kWindow + 64.0);
+  EXPECT_EQ(c.pop(), kFar);
+  c.drain();
 }
 
 TEST(TimingWheel, WindowStartBoundariesDrainInOrder) {
@@ -233,6 +336,72 @@ TEST(TimingWheel, QueueSizeSpansBothStructures) {
   EXPECT_EQ(sim.queue_size(), 3u);  // cancelled-but-unpopped still counted
   sim.run();
   EXPECT_EQ(sim.queue_size(), 0u);
+}
+
+// -------- tripwires: the tick follows real workloads' density ---------------
+//
+// The calibrated tick comes from the first 64 pinned delays, which can be far
+// finer than the gaps between wheel events once the workload settles (a
+// churn ramp's arrival gaps, a static cell's pacing start-up); front runs
+// then hold one event each and there is nothing to prefetch along. After
+// warm-up the re-tick must keep the mean run at 2 or more.
+
+double mean_run_over(ebrc::sim::Simulator& sim, double until) {
+  const std::uint64_t pops0 = sim.wheel_pops();
+  const std::uint64_t loads0 = sim.wheel().loads();
+  sim.run_until(until);
+  const auto loads = static_cast<double>(sim.wheel().loads() - loads0);
+  return loads > 0 ? static_cast<double>(sim.wheel_pops() - pops0) / loads : 0.0;
+}
+
+TEST(TimingWheel, TripwireStaticRedCellFrontRunsHoldSeveralEvents) {
+  // A Fig. 5 ns-2 RED cell (L = 8, 16 TFRC + 16 TCP flows), as
+  // run_experiment wires it, for 60 s.
+  using namespace ebrc;
+  const testbed::Scenario sc = testbed::ns2_scenario(16, 16, 8, 11);
+  sim::Simulator sim;
+  sim::Rng rng(3);
+  net::Dumbbell net(sim,
+                    net::Queue::red(net::red_params_for_bdp(sc.bottleneck_bps, sc.base_rtt_s,
+                                                            sc.tfrc.packet_bytes),
+                                    5),
+                    sc.bottleneck_bps, 0.001);
+  std::deque<tfrc::TfrcConnection> tfrcs;
+  std::deque<tcp::TcpConnection> tcps;
+  for (int i = 0; i < sc.n_tfrc; ++i) {
+    const int id = net.add_flow(sc.base_rtt_s / 2 - 0.001, sc.base_rtt_s / 2);
+    tfrcs.emplace_back(net, id, sc.base_rtt_s, sc.tfrc).start(rng.uniform(0.0, 1.0));
+  }
+  for (int i = 0; i < sc.n_tcp; ++i) {
+    const int id = net.add_flow(sc.base_rtt_s / 2 - 0.001, sc.base_rtt_s / 2);
+    tcps.emplace_back(net, id, sc.base_rtt_s, sc.tcp).start(rng.uniform(0.0, 1.0));
+  }
+  sim.run_until(20.0);  // warm-up
+  ASSERT_TRUE(sim.wheel().active());
+  EXPECT_GE(mean_run_over(sim, 60.0), 2.0) << "tick " << sim.wheel().granularity() << " s";
+}
+
+TEST(TimingWheel, TripwireChurnPoolFrontRunsHoldSeveralEvents) {
+  // A small saturated churn pool filled by raised arrivals in a 0.2 s ramp,
+  // whose arrivals then stop, as churn_100k's cell is built: the calibration
+  // samples are ramp arrival gaps, far finer than the window's event gaps.
+  using namespace ebrc;
+  constexpr int kSlots = 2000;
+  sim::Simulator sim;
+  net::Dumbbell net(sim,
+                    net::Queue::red(net::red_params_for_bdp(15e6, 0.05, 1000), 7), 15e6, 0.001);
+  workload::FlowManagerConfig cfg;
+  cfg.workload.arrival_rate_per_s = 3.0 * kSlots / 0.2;
+  cfg.workload.mean_size_pkts = 100.0;
+  cfg.workload.max_concurrent = kSlots;
+  cfg.seed = 9;
+  workload::FlowManager mgr(net, cfg);
+  mgr.start(0.0);
+  sim.run_until(0.2);
+  mgr.stop();
+  sim.run_until(2.0);  // warm-up
+  ASSERT_TRUE(sim.wheel().active());
+  EXPECT_GE(mean_run_over(sim, 10.0), 2.0) << "tick " << sim.wheel().granularity() << " s";
 }
 
 }  // namespace
