@@ -238,6 +238,7 @@ class TimingWheel {
   std::uint32_t alloc(const QueuedEvent& e) {
     const Node n{e.at, e.seq, e.slot, kNil};
     if (free_ == kNil) {
+      assert(nodes_.size() < kNil && "node index would collide with kNil");
       nodes_.push_back(n);
       return static_cast<std::uint32_t>(nodes_.size() - 1);
     }
