@@ -121,18 +121,30 @@ TEST(BatchResult, AggregatesMeanAndCi) {
 // churn batch per controller. The roundtrip ctests compare one build's runs
 // with each other, so a renamed, dropped or misrouted metric key would pass
 // them; it cannot pass this. A mismatch means the summary schema changed.
+// Each batch has two digests: `masked` leaves out the means of the kernel's
+// own counts (`obs_kernel_*`, names and counts still folded), `full` folds
+// every mean.
 
-std::uint64_t aggregate_digest(const Scenario& base) {
+struct AggregateDigests {
+  std::uint64_t masked;
+  std::uint64_t full;
+};
+
+AggregateDigests aggregate_digests(const Scenario& base) {
   const auto runs = BatchRunner(2).run(ebrc::testbed::replicate(base, /*root_seed=*/11, 2));
   const auto agg = ebrc::testbed::aggregate(runs);
-  ebrc::util::Fnv1a h;
-  h.u64(agg.runs);
+  ebrc::util::Fnv1a masked;
+  ebrc::util::Fnv1a full;
+  for (ebrc::util::Fnv1a* h : {&masked, &full}) h->u64(agg.runs);
   for (const auto& [name, m] : agg.metrics) {
-    h.str(name);
-    h.u64(m.count());
-    h.f64(m.mean());
+    for (ebrc::util::Fnv1a* h : {&masked, &full}) {
+      h->str(name);
+      h->u64(m.count());
+    }
+    full.f64(m.mean());
+    if (name.rfind("obs_kernel_", 0) != 0) masked.f64(m.mean());
   }
-  return h.digest();
+  return {masked.digest(), full.digest()};
 }
 
 Scenario churn_batch(const std::string& controller) {
@@ -145,20 +157,24 @@ Scenario churn_batch(const std::string& controller) {
   return s;
 }
 
-#define EXPECT_AGGREGATE(scenario, golden)                                           \
-  do {                                                                               \
-    const std::uint64_t digest = aggregate_digest(scenario);                         \
-    EXPECT_EQ(digest, golden) << std::hex << "digest 0x" << digest << ", golden 0x" \
-                              << (golden);                                           \
+#define EXPECT_AGGREGATE(scenario, masked_golden, full_golden)                           \
+  do {                                                                                   \
+    const AggregateDigests d = aggregate_digests(scenario);                              \
+    EXPECT_EQ(d.masked, masked_golden) << std::hex << "masked digest 0x" << d.masked     \
+                                       << ", golden 0x" << (masked_golden);              \
+    EXPECT_EQ(d.full, full_golden) << std::hex << "full digest 0x" << d.full             \
+                                   << ", golden 0x" << (full_golden);                    \
   } while (0)
 
-TEST(AggregateGolden, StaticNs2Batch) { EXPECT_AGGREGATE(short_ns2(0), 0x0b58210d8f572828ull); }
+TEST(AggregateGolden, StaticNs2Batch) {
+  EXPECT_AGGREGATE(short_ns2(0), 0x93afc7ccef99ab45ull, 0x0b58210d8f572828ull);
+}
 
 TEST(AggregateGolden, ChurnBatchPerController) {
-  EXPECT_AGGREGATE(churn_batch("tfrc"), 0x8cbf33b3895a9f6bull);
-  EXPECT_AGGREGATE(churn_batch("tcp"), 0x645d61acc1c3bc52ull);
-  EXPECT_AGGREGATE(churn_batch("delay_aimd"), 0x630f79e496d9499full);
-  EXPECT_AGGREGATE(churn_batch("rcp"), 0xd45c67fbcfcea612ull);
+  EXPECT_AGGREGATE(churn_batch("tfrc"), 0xbea890cb4e28125full, 0x8cbf33b3895a9f6bull);
+  EXPECT_AGGREGATE(churn_batch("tcp"), 0xf09d7052029454a3ull, 0x645d61acc1c3bc52ull);
+  EXPECT_AGGREGATE(churn_batch("delay_aimd"), 0x41ce72511bae795eull, 0x630f79e496d9499full);
+  EXPECT_AGGREGATE(churn_batch("rcp"), 0x971464d299cee286ull, 0xd45c67fbcfcea612ull);
 }
 
 TEST(ReplicatePaired, SharesSeedsWithinPairsDistinctAcrossReps) {

@@ -3,18 +3,26 @@
 // Each cell drives one controller on a seeded dumbbell for a fixed span and
 // folds a 10 ms sample of every connection's observable state — sent,
 // delivered, loss events, smoothed RTT, pacing rate and queuing-delay
-// telemetry — plus the kernel's executed-event count into one FNV-1a digest.
-// A second set pins encode_result() of a full run_experiment() churn cell per
+// telemetry — into one FNV-1a digest, the state digest. A second, counted
+// digest continues the first with the kernel's executed-event count. A
+// second set pins encode_result() of a full run_experiment() churn cell per
 // controller (and one static ns-2 cell), so the pool, the epoch sweeps and
-// the codec are covered too.
+// the codec are covered too: once with the `kernel_*` obs masked, once as
+// encoded.
 //
 // TCP is the control: it shares no transport code with the paced
 // controllers, so a change to the paced skeleton that moves the TCP digest
 // moved something outside it (the kernel or the network).
 //
-// The constants were recorded before the paced connections were folded into
-// one skeleton. A mismatch means a controller's behaviour changed: that is a
-// regression of every seeded result in the repository, not a test to update.
+// The runs were first pinned before the paced connections were folded into
+// one skeleton; the state and masked constants digest those same runs
+// without the kernel's counts. A mismatch in one of them means a
+// controller's behaviour changed: that is a regression of every seeded
+// result in the repository, not a test to update. The counted and full constants also pin how many
+// events the kernel executed, so a change that schedules fewer events for
+// the same sample path (an idle feedback chain that parks instead of
+// ticking) moves them and only them; they are re-recorded with such a
+// change, and its CHANGES.md entry lists the old and new counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -58,10 +66,17 @@ void open_cycle(sim::Simulator& sim, Conn& c) {
          [&sim, &c] { sim.schedule(kReopenGapS, [&sim, &c] { open_cycle(sim, c); }); });
 }
 
+/// Two digests of one cell: `state` folds only the connections' observable
+/// state, `counted` also the kernel's executed-event count.
+struct CellDigests {
+  std::uint64_t state;
+  std::uint64_t counted;
+};
+
 /// `pooled` drives flows 1.. through open() cycles; flow 0 is always a
 /// continuous start() source so both lifecycles are pinned.
 template <typename Conn, typename Cfg>
-std::uint64_t run_cell(bool pooled, const Cfg& cfg, bool rcp_router) {
+CellDigests run_cell(bool pooled, const Cfg& cfg, bool rcp_router) {
   sim::Simulator sim;
   net::Dumbbell net(sim, net::Queue::drop_tail(40), 10e6, 0.001);
   if (rcp_router) {
@@ -94,8 +109,9 @@ std::uint64_t run_cell(bool pooled, const Cfg& cfg, bool rcp_router) {
       h.u64(c.queuing_delay_samples());
     }
   }
+  const std::uint64_t state = h.digest();
   h.u64(sim.events_executed());
-  return h.digest();
+  return {state, h.digest()};
 }
 
 std::string hex(std::uint64_t v) {
@@ -111,40 +127,68 @@ std::string hex(std::uint64_t v) {
                                 << hex(expected);                          \
   } while (0)
 
+#define EXPECT_CELL(cell, state_golden, counted_golden) \
+  do {                                                   \
+    const CellDigests d = (cell);                        \
+    EXPECT_DIGEST(d.state, state_golden);                \
+    EXPECT_DIGEST(d.counted, counted_golden);            \
+  } while (0)
+
 TEST(PacedGolden, TfrcStatic) {
-  EXPECT_DIGEST(run_cell<tfrc::TfrcConnection>(false, tfrc::TfrcConfig{}, false),
-                0xdc2525017dadb926ull);
+  EXPECT_CELL(run_cell<tfrc::TfrcConnection>(false, tfrc::TfrcConfig{}, false), 0x19a46602a0bcb1cfull,
+              0xdc2525017dadb926ull);
 }
 
 TEST(PacedGolden, TfrcPooled) {
   tfrc::TfrcConfig cfg;
   cfg.comprehensive = false;  // the lab TFRC, as the pooled churn cells use it
-  EXPECT_DIGEST(run_cell<tfrc::TfrcConnection>(true, cfg, false), 0x31f4cb5bb6bce8e4ull);
+  EXPECT_CELL(run_cell<tfrc::TfrcConnection>(true, cfg, false), 0x4b803db413537c85ull, 0x31f4cb5bb6bce8e4ull);
 }
 
 TEST(PacedGolden, DelayAimd) {
-  EXPECT_DIGEST(
+  EXPECT_CELL(
       run_cell<delay_aimd::DelayAimdConnection>(true, delay_aimd::DelayAimdConfig{}, false),
-      0xdfccb681f9408e4aull);
+      0x6429faf8c311dec2ull, 0xdfccb681f9408e4aull);
 }
 
 TEST(PacedGolden, Rcp) {
-  EXPECT_DIGEST(run_cell<rcp::RcpConnection>(true, rcp::RcpConfig{}, true),
-                0x24a40f55ad0ccfdaull);
+  EXPECT_CELL(run_cell<rcp::RcpConnection>(true, rcp::RcpConfig{}, true), 0x1fe1bd7c76da519full,
+              0x24a40f55ad0ccfdaull);
 }
 
 TEST(PacedGolden, TcpControl) {
-  EXPECT_DIGEST(run_cell<tcp::TcpConnection>(true, tcp::TcpConfig{}, false),
-                0xd0e373ecb0de55b8ull);
+  EXPECT_CELL(run_cell<tcp::TcpConnection>(true, tcp::TcpConfig{}, false), 0x4402db6c2f30c0d0ull,
+              0xd0e373ecb0de55b8ull);
 }
 
 // ---- whole cells through run_experiment + the result codec ------------------
 
-std::uint64_t result_digest(const testbed::Scenario& s) {
-  util::Fnv1a h;
-  h.str(testbed::encode_result(testbed::run_experiment(s)));
-  return h.digest();
+/// `masked` digests encode_result() with every `kernel_*` obs value zeroed
+/// (the names stay): the kernel's own event and pop counts are the only
+/// fields it leaves out. `full` digests the result as encoded.
+struct ResultDigests {
+  std::uint64_t masked;
+  std::uint64_t full;
+};
+
+ResultDigests result_digests(const testbed::Scenario& s) {
+  testbed::ExperimentResult r = testbed::run_experiment(s);
+  util::Fnv1a full;
+  full.str(testbed::encode_result(r));
+  for (auto& [name, value] : r.obs) {
+    if (name.rfind("kernel_", 0) == 0) value = 0.0;
+  }
+  util::Fnv1a masked;
+  masked.str(testbed::encode_result(r));
+  return {masked.digest(), full.digest()};
 }
+
+#define EXPECT_RESULT(scenario, masked_golden, full_golden) \
+  do {                                                      \
+    const ResultDigests d = result_digests(scenario);       \
+    EXPECT_DIGEST(d.masked, masked_golden);                 \
+    EXPECT_DIGEST(d.full, full_golden);                     \
+  } while (0)
 
 testbed::Scenario churn_cell(const std::string& controller) {
   auto s = testbed::churn_scenario(/*offered_load=*/0.9, /*tfrc_fraction=*/0.5, /*seed=*/7);
@@ -157,17 +201,17 @@ testbed::Scenario churn_cell(const std::string& controller) {
 }
 
 TEST(PacedGolden, ChurnCellPerController) {
-  EXPECT_DIGEST(result_digest(churn_cell("tfrc")), 0x7e9b3043e189d76eull);
-  EXPECT_DIGEST(result_digest(churn_cell("delay_aimd")), 0x1872e985897c2b18ull);
-  EXPECT_DIGEST(result_digest(churn_cell("rcp")), 0x30778cbdd8b9a003ull);
-  EXPECT_DIGEST(result_digest(churn_cell("tcp")), 0xb84f1d84b5d95dfeull);
+  EXPECT_RESULT(churn_cell("tfrc"), 0xb24f7178c99e4925ull, 0x7e9b3043e189d76eull);
+  EXPECT_RESULT(churn_cell("delay_aimd"), 0xdcafba1d8398bc93ull, 0x1872e985897c2b18ull);
+  EXPECT_RESULT(churn_cell("rcp"), 0x5e89f655153c4615ull, 0x30778cbdd8b9a003ull);
+  EXPECT_RESULT(churn_cell("tcp"), 0x7bf3b8e7a17c937dull, 0xb84f1d84b5d95dfeull);
 }
 
 TEST(PacedGolden, StaticNs2Cell) {
   auto s = testbed::ns2_scenario(/*n_tfrc=*/4, /*n_tcp=*/4, /*history_length=*/8, /*seed=*/5);
   s.duration_s = 20.0;
   s.warmup_s = 4.0;
-  EXPECT_DIGEST(result_digest(s), 0x5c1cf8085bf5b697ull);
+  EXPECT_RESULT(s, 0x68786268e7c881b3ull, 0x5c1cf8085bf5b697ull);
 }
 
 }  // namespace
