@@ -21,6 +21,28 @@
 // Per-law differences that results depend on are compile-time properties of
 // the law, never config fields (see the RateLaw concept below).
 //
+// The feedback chain is lazy. It ticks once per RTT while the receiver has
+// something to report; a tick that finds nothing received since the last
+// report parks the chain instead of scheduling its successor, storing the
+// successor's time. Whatever could make a later tick non-empty or end the
+// chain (on_data, close, finish_transfer, stop, open) unparks it first: the
+// stored time steps forward on the same grid, by the same repeated addition
+// the ticks would have done, over every instant already passed (each would
+// have been an empty tick, a no-op), and one real tick is scheduled at the
+// next grid point. rtt_hint cannot change while nothing arrives, so the
+// tick times are the doubles an always-ticking chain would use and every
+// sample path is unchanged; only the kernel's event counts fall. A flow
+// whose packets are all dropped costs no receiver events while it is idle.
+//
+// Ties: a grid point equal to the unparking instant counts as passed, as if
+// its empty tick had fired before the event that unparks, and the chain
+// resumes at the point after it. An always-ticking chain has that order too
+// unless the unparking event was scheduled more than a step ahead. The
+// resumed tick is also scheduled later than an always-ticking chain would
+// have scheduled it, so it runs after, not before, any other event due at
+// exactly its instant that was scheduled in between. Both are exact-double
+// coincidences of independent clocks.
+//
 // Each law's header declares `extern template class PacedConnection<Law>`
 // and its .cpp instantiates it, so every law compiles once, with its hooks
 // inlined into the skeleton's per-packet paths.
@@ -133,7 +155,7 @@ class PacedConnection {
 
   /// Continuous source from absolute time `at`.
   void start(double at);
-  void stop() noexcept { running_ = false; }
+  void stop();
 
   // --- pooled lifecycle (workload::Sender) ------------------------------
   //
@@ -152,8 +174,9 @@ class PacedConnection {
   /// fires once, at the emission of the final packet: a paced unreliable
   /// source is done when it has paced everything out.
   void open(std::uint64_t transfer_packets, CompletionFn on_complete = {});
-  /// Retires the flow: the chains die lazily, a pending completion is
-  /// dropped, counters survive.
+  /// Retires the flow: the chains die lazily (a parked feedback chain is
+  /// unparked to die at its next tick), a pending completion is dropped,
+  /// counters survive.
   void close();
 
   [[nodiscard]] bool active() const noexcept { return running_; }
@@ -188,6 +211,7 @@ class PacedConnection {
   void reset_transfer_state();
   void on_data(const Packet& p);
   void feedback_tick();
+  void unpark_feedback();
 
   /// Per-transfer sender hot state, rewound wholesale by open().
   struct SenderState {
@@ -206,7 +230,7 @@ class PacedConnection {
   // next incarnation, never doubled. `receiving_` is per-transfer.
   bool running_ = false;
   bool pacing_armed_ = false;    // a pinned send_next is pending in the kernel
-  bool feedback_armed_ = false;  // a pinned feedback_tick is pending
+  bool feedback_armed_ = false;  // the feedback chain is live: a tick is pending or parked
   bool receiving_ = false;       // the receiver has seen this transfer's first packet
   double base_rtt_s_;
   // Pinned per-packet/per-RTT events: the guards above gate them instead of
@@ -215,6 +239,9 @@ class PacedConnection {
   sim::Simulator::PinnedEvent feedback_ev_ = 0;
   SenderState snd_;
   PacedReceiver rcv_;
+  // Nonzero while the feedback chain is parked: the time its next tick would
+  // have had (always > 0). Beside rcv_, which on_data touches anyway.
+  double feedback_parked_at_ = 0.0;
   Law law_;
 
   std::uint64_t transfers_completed_ = 0;
@@ -259,7 +286,15 @@ void PacedConnection<Law>::start(double at) {
 }
 
 template <RateLaw Law>
+void PacedConnection<Law>::stop() {
+  running_ = false;
+  if (feedback_parked_at_ != 0.0) unpark_feedback();
+}
+
+template <RateLaw Law>
 void PacedConnection<Law>::open(std::uint64_t transfer_packets, CompletionFn on_complete) {
+  // Unpark on the old rtt_hint, before the rewind resets it.
+  if (feedback_parked_at_ != 0.0) unpark_feedback();
   reset_transfer_state();
   snd_.transfer_limit = transfer_packets;
   done_ = std::move(on_complete);
@@ -276,11 +311,13 @@ template <RateLaw Law>
 void PacedConnection<Law>::close() {
   running_ = false;
   done_ = CompletionFn{};
+  if (feedback_parked_at_ != 0.0) unpark_feedback();
 }
 
 template <RateLaw Law>
 void PacedConnection<Law>::finish_transfer() {
   running_ = false;
+  if (feedback_parked_at_ != 0.0) unpark_feedback();
   ++transfers_completed_;
   if (done_) {
     // Move out first: the callback may re-enter the pool and hand this slot
@@ -367,6 +404,8 @@ void PacedConnection<Law>::on_feedback(const Packet& p) {
 
 template <RateLaw Law>
 void PacedConnection<Law>::on_data(const Packet& p) {
+  // Unpark on the rtt_hint the parked grid was stepped with.
+  if (feedback_parked_at_ != 0.0) unpark_feedback();
   const double now = net_.simulator().now();
   if (p.data.rtt_hint > 0) rcv_.rtt_hint = p.data.rtt_hint;
   recorder_.set_rtt_window(rcv_.rtt_hint);
@@ -398,21 +437,35 @@ void PacedConnection<Law>::feedback_tick() {
     return;
   }
   const double now = net_.simulator().now();
-  if (rcv_.recv_since_feedback > 0) {
-    Packet report;
-    report.kind = Law::kReportKind;
-    report.size_bytes = 40.0;
-    report.send_time = now;
-    const double elapsed = std::max(1e-9, now - rcv_.last_feedback_time);
-    report.*Law::kReport = {law_.report_value(),
-                            static_cast<double>(rcv_.recv_since_feedback) / elapsed,
-                            rcv_.last_data_send_time};
-    net_.send_back(flow_, report);
-    rcv_.recv_since_feedback = 0;
-    rcv_.last_feedback_time = now;
+  if (rcv_.recv_since_feedback == 0) {
+    // Park: the successor's time, as schedule_pinned would compute it.
+    feedback_parked_at_ = now + std::max(1e-3, rcv_.rtt_hint);
+    return;
   }
-  feedback_armed_ = true;
+  Packet report;
+  report.kind = Law::kReportKind;
+  report.size_bytes = 40.0;
+  report.send_time = now;
+  const double elapsed = std::max(1e-9, now - rcv_.last_feedback_time);
+  report.*Law::kReport = {law_.report_value(),
+                          static_cast<double>(rcv_.recv_since_feedback) / elapsed,
+                          rcv_.last_data_send_time};
+  net_.send_back(flow_, report);
+  rcv_.recv_since_feedback = 0;
+  rcv_.last_feedback_time = now;
   net_.simulator().schedule_pinned(std::max(1e-3, rcv_.rtt_hint), feedback_ev_);
+}
+
+template <RateLaw Law>
+void PacedConnection<Law>::unpark_feedback() {
+  // Every grid point up to and including now would have been an empty tick
+  // (see the tie rule in the header comment); resume at the next one.
+  const double now = net_.simulator().now();
+  const double step = std::max(1e-3, rcv_.rtt_hint);
+  double at = feedback_parked_at_;
+  while (at <= now) at += step;
+  feedback_parked_at_ = 0.0;
+  net_.simulator().schedule_pinned_at(at, feedback_ev_);
 }
 
 }  // namespace ebrc::net

@@ -71,13 +71,13 @@ class LossEventRecorder {
 
  private:
   double rtt_window_;
-  bool store_series_;
   std::uint64_t packets_ = 0;
   std::uint64_t losses_ = 0;
   std::uint64_t events_ = 0;
   std::uint64_t packets_since_event_ = 0;
   std::uint64_t packets_at_first_event_ = 0;
   double last_event_t_ = -1.0;
+  bool store_series_;
   bool have_event_ = false;
   bool awaiting_rate_ = false;
   double rate_at_interval_start_ = 0.0;

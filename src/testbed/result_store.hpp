@@ -49,9 +49,10 @@
 namespace ebrc::testbed {
 
 /// Behavioral version of the simulator: bump by hand on any change that
-/// alters sample paths or metric definitions (new RNG, packet-path reorder,
-/// metric redefinition, ...). Result schema changes are salted on their own.
-inline constexpr std::uint64_t kBehaviorVersion = 7;
+/// alters sample paths, metric definitions or any cached value (new RNG,
+/// packet-path reorder, metric redefinition, fewer kernel events in the
+/// kernel_* obs, ...). Result schema changes are salted on their own.
+inline constexpr std::uint64_t kBehaviorVersion = 8;
 
 /// FNV-1a over the result schema as visit_result walks it: each field's wire
 /// kind and name in order, list elements included.

@@ -136,24 +136,24 @@ std::string hex(std::uint64_t v) {
 
 TEST(PacedGolden, TfrcStatic) {
   EXPECT_CELL(run_cell<tfrc::TfrcConnection>(false, tfrc::TfrcConfig{}, false), 0x19a46602a0bcb1cfull,
-              0xdc2525017dadb926ull);
+              0x664c5b15e9476876ull);
 }
 
 TEST(PacedGolden, TfrcPooled) {
   tfrc::TfrcConfig cfg;
   cfg.comprehensive = false;  // the lab TFRC, as the pooled churn cells use it
-  EXPECT_CELL(run_cell<tfrc::TfrcConnection>(true, cfg, false), 0x4b803db413537c85ull, 0x31f4cb5bb6bce8e4ull);
+  EXPECT_CELL(run_cell<tfrc::TfrcConnection>(true, cfg, false), 0x4b803db413537c85ull, 0xb22890554444a7fbull);
 }
 
 TEST(PacedGolden, DelayAimd) {
   EXPECT_CELL(
       run_cell<delay_aimd::DelayAimdConnection>(true, delay_aimd::DelayAimdConfig{}, false),
-      0x6429faf8c311dec2ull, 0xdfccb681f9408e4aull);
+      0x6429faf8c311dec2ull, 0xd5c0aa3876e9cf30ull);
 }
 
 TEST(PacedGolden, Rcp) {
   EXPECT_CELL(run_cell<rcp::RcpConnection>(true, rcp::RcpConfig{}, true), 0x1fe1bd7c76da519full,
-              0x24a40f55ad0ccfdaull);
+              0xac76c8ae4367b259ull);
 }
 
 TEST(PacedGolden, TcpControl) {
@@ -201,9 +201,9 @@ testbed::Scenario churn_cell(const std::string& controller) {
 }
 
 TEST(PacedGolden, ChurnCellPerController) {
-  EXPECT_RESULT(churn_cell("tfrc"), 0xb24f7178c99e4925ull, 0x7e9b3043e189d76eull);
-  EXPECT_RESULT(churn_cell("delay_aimd"), 0xdcafba1d8398bc93ull, 0x1872e985897c2b18ull);
-  EXPECT_RESULT(churn_cell("rcp"), 0x5e89f655153c4615ull, 0x30778cbdd8b9a003ull);
+  EXPECT_RESULT(churn_cell("tfrc"), 0xb24f7178c99e4925ull, 0x06f722f3649c4e6cull);
+  EXPECT_RESULT(churn_cell("delay_aimd"), 0xdcafba1d8398bc93ull, 0xfe396c1f4c154206ull);
+  EXPECT_RESULT(churn_cell("rcp"), 0x5e89f655153c4615ull, 0x5822834c2d14f656ull);
   EXPECT_RESULT(churn_cell("tcp"), 0x7bf3b8e7a17c937dull, 0xb84f1d84b5d95dfeull);
 }
 
@@ -211,7 +211,7 @@ TEST(PacedGolden, StaticNs2Cell) {
   auto s = testbed::ns2_scenario(/*n_tfrc=*/4, /*n_tcp=*/4, /*history_length=*/8, /*seed=*/5);
   s.duration_s = 20.0;
   s.warmup_s = 4.0;
-  EXPECT_RESULT(s, 0x68786268e7c881b3ull, 0x5c1cf8085bf5b697ull);
+  EXPECT_RESULT(s, 0x68786268e7c881b3ull, 0x44d2992634a5caefull);
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 // spreading, TCP's timer/backoff machinery, and the TFRC feedback loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "net/dumbbell.hpp"
 #include "net/queue.hpp"
@@ -183,6 +187,181 @@ TEST(TfrcDetail, HistoryDiscountingSpeedsRecovery) {
   // Discounting forgets stale loss history faster; it should never do much
   // worse, and typically does at least as well.
   EXPECT_GT(static_cast<double>(d_disc), 0.9 * static_cast<double>(d_plain));
+}
+
+// ---- the lazy feedback chain ------------------------------------------------
+//
+// A paced receiver reports once per RTT while data arrives; a tick that finds
+// nothing to report parks the chain until something could change that. These
+// cases pin down that parking saves the kernel's idle ticks and nothing else:
+// every tick that does run lands on the time an always-ticking chain gives it.
+
+/// A TFRC flow on a 4 Mb/s dumbbell whose data stops reaching the receiver
+/// for a while: from kBlackoutAt an elephant packet on a second flow holds
+/// the bottleneck for kBlackoutS, and the drop-tail queue behind it turns
+/// away what the sender paces out meanwhile. The sender keeps running
+/// throughout. Every executed kernel event is logged into an in-memory
+/// ring, and pin ids tell the receiver's arrivals and the feedback ticks
+/// apart.
+struct BlackoutWorld {
+  static constexpr double kRtt = 0.050;  // base RTT; the flow's srtt is about 0.1 s
+  static constexpr double kRateBps = 4e6;
+  static constexpr double kBlackoutAt = 10.0;
+  static constexpr double kBlackoutS = 10.0;  // about 100 of the flow's RTTs
+  static constexpr double kEnd = 25.0;
+  static constexpr std::size_t kRingCapacity = std::size_t{1} << 18;
+
+  sim::Simulator sim;
+  net::Dumbbell net{sim, net::Queue::drop_tail(60), kRateBps, 0.001};
+  int elephant_flow = net.add_flow(0.0, 0.0);  // no receiver: deliveries vanish
+  sim::Simulator::PinnedEvent tail_pin = 0;      // the flow's receiver-side pipe
+  sim::Simulator::PinnedEvent feedback_pin = 0;  // the connection's feedback_tick
+  std::unique_ptr<tfrc::TfrcConnection> conn;
+  std::vector<sim::KernelRing::Record> ring{kRingCapacity};
+  std::uint64_t cursor = 0;
+  bool elephant_admitted = false;
+
+  BlackoutWorld() {
+    // Pins are numbered in registration order: after this marker come the
+    // flow's tail and reverse pipes, then the connection's send_next and
+    // feedback_tick.
+    const sim::Simulator::PinnedEvent marker = sim.pin([] {});
+    const int id = net.add_flow(kRtt / 2.0 - 0.001, kRtt / 2.0);
+    tfrc::TfrcConfig cfg;
+    cfg.rtt_smoothing = 1.0;  // srtt is the first RTT sample for good: a known tick step
+    conn = std::make_unique<tfrc::TfrcConnection>(net, id, kRtt, cfg);
+    tail_pin = marker + 1;
+    feedback_pin = marker + 4;
+    sim.set_kernel_ring({ring.data(), static_cast<std::uint32_t>(kRingCapacity - 1), &cursor});
+    sim.schedule_at(kBlackoutAt, [this] {
+      const std::uint64_t drops = net.bottleneck().queue().drops();
+      net::Packet elephant;
+      elephant.size_bytes = kBlackoutS * kRateBps / 8.0;
+      net.send_data(elephant_flow, elephant);
+      elephant_admitted = net.bottleneck().queue().drops() == drops;
+    });
+  }
+
+  /// Executed times of one pinned event, in order.
+  [[nodiscard]] std::vector<double> times(sim::Simulator::PinnedEvent pin) const {
+    EXPECT_LE(cursor, kRingCapacity) << "the ring wrapped";
+    std::vector<double> out;
+    for (std::uint64_t i = 0; i < cursor && i < kRingCapacity; ++i) {
+      if (ring[i].slot == pin) out.push_back(ring[i].at);
+    }
+    return out;
+  }
+
+  /// The longest gap between consecutive arrivals: the blackout as the
+  /// receiver saw it.
+  [[nodiscard]] std::pair<double, double> idle_span() const {
+    const std::vector<double> arrivals = times(tail_pin);
+    std::pair<double, double> span{0.0, 0.0};
+    for (std::size_t i = 1; i < arrivals.size(); ++i) {
+      if (arrivals[i] - arrivals[i - 1] > span.second - span.first) {
+        span = {arrivals[i - 1], arrivals[i]};
+      }
+    }
+    return span;
+  }
+};
+
+/// The first element of `ts` after `t`; -1 if none.
+double first_after(const std::vector<double>& ts, double t) {
+  for (const double x : ts) {
+    if (x > t) return x;
+  }
+  return -1.0;
+}
+
+/// The first point of the grid `from`, `from` + step, ... after `t`, stepped
+/// by repeated addition as an always-ticking chain does.
+double grid_after(double from, double step, double t) {
+  while (from <= t) from += step;
+  return from;
+}
+
+TEST(PacedFeedbackChain, IdleReceiverCostsNoTicks) {
+  BlackoutWorld w;
+  w.conn->start(0.0);
+  w.sim.run_until(BlackoutWorld::kEnd);
+  ASSERT_TRUE(w.elephant_admitted);
+  const auto [last, resumed] = w.idle_span();
+  ASSERT_GT(resumed - last, BlackoutWorld::kBlackoutS);
+
+  const std::vector<double> ticks = w.times(w.feedback_pin);
+  // While data flows, the chain ticks once per step (which also checks that
+  // the pin ids above name the right events).
+  const double step = std::max(1e-3, w.conn->srtt());
+  const auto busy = std::count_if(ticks.begin(), ticks.end(),
+                                  [](double t) { return t >= 5.0 && t < 10.0; });
+  EXPECT_NEAR(static_cast<double>(busy), 5.0 / step, 1.0);
+  // Over the idle span: the tick that reports the last arrivals, then the
+  // one that finds nothing and parks. An always-ticking chain runs one per
+  // step, about 100 here.
+  const auto idle = std::count_if(ticks.begin(), ticks.end(),
+                                  [&](double t) { return t > last && t < resumed; });
+  EXPECT_LE(idle, 2) << "an idle feedback chain must park, not tick every RTT";
+}
+
+TEST(PacedFeedbackChain, FirstReportAfterIdleStaysOnTheTickGrid) {
+  BlackoutWorld w;
+  w.conn->start(0.0);
+  w.sim.run_until(BlackoutWorld::kEnd);
+  ASSERT_TRUE(w.elephant_admitted);
+  const auto [last, resumed] = w.idle_span();
+  const std::vector<double> ticks = w.times(w.feedback_pin);
+  // The tick that reported the last arrival before the blackout, then the
+  // grid it starts: about 100 additions of the same step.
+  const double reported = first_after(ticks, last);
+  ASSERT_GT(reported, 0.0);
+  const double step = std::max(1e-3, w.conn->srtt());
+  EXPECT_EQ(first_after(ticks, resumed), grid_after(reported, step, resumed));
+}
+
+TEST(PacedFeedbackChain, CloseWhileParkedThenReopenReusesOrKillsTheChain) {
+  constexpr double kRtt = BlackoutWorld::kRtt;
+  constexpr double kClose = BlackoutWorld::kBlackoutAt + 3.0;  // well inside the idle span
+  for (const bool reuse : {true, false}) {
+    SCOPED_TRACE(reuse ? "reopen before the next tick" : "reopen after it");
+    BlackoutWorld w;
+    w.conn->open(0);
+    w.sim.run_until(kClose);
+    ASSERT_TRUE(w.elephant_admitted);
+    const double step = std::max(1e-3, w.conn->srtt());
+    const double last_arrival = w.times(w.tail_pin).back();
+    const double reported = first_after(w.times(w.feedback_pin), last_arrival);
+    ASSERT_GT(reported, 0.0);
+    // The chain's next tick after the close: it finds the flow closed and
+    // ends the chain, unless the flow is open again by then.
+    const double next_tick = grid_after(reported, step, kClose);
+    w.conn->close();
+    const double reopen_at = reuse ? (kClose + next_tick) / 2.0 : next_tick + step / 2.0;
+    w.sim.schedule_at(reopen_at, [&w] { w.conn->open(0); });
+    w.sim.run_until(BlackoutWorld::kEnd);
+
+    const std::vector<double> ticks = w.times(w.feedback_pin);
+    const auto [last, resumed] = w.idle_span();
+    ASSERT_LT(last, kClose);
+    ASSERT_GT(resumed, reopen_at);
+    EXPECT_EQ(first_after(ticks, kClose), next_tick);
+    if (reuse) {
+      // The reused chain ticks on from next_tick, on the reopened
+      // transfer's rtt_hint (the base RTT) until data arrives.
+      EXPECT_EQ(first_after(ticks, resumed), grid_after(next_tick, kRtt, resumed));
+    } else {
+      // The chain died at next_tick; the first arrival starts a fresh one,
+      // one rtt_hint later. The first packets through were paced out before
+      // the close, so they carry the old srtt.
+      EXPECT_EQ(first_after(ticks, next_tick), resumed + step);
+    }
+    // One chain, never two: ticks stay at least a base RTT apart.
+    for (std::size_t i = 1; i < ticks.size(); ++i) {
+      if (ticks[i] > reopen_at) {
+        EXPECT_GE(ticks[i] - ticks[i - 1], kRtt) << "ticks at " << ticks[i - 1] << ", " << ticks[i];
+      }
+    }
+  }
 }
 
 }  // namespace
