@@ -18,7 +18,8 @@
 // 100 / 300 / 1000 / 10k / 100k slots under overload (--pools overrides the
 // list; a 1M-slot point is supported but stays local/manual) and measures
 // kernel events per wall-clock second end to end (arrivals, pool recycling,
-// protocol timers, packet path), best of --reps slices; writes
+// protocol timers, packet path), best of --reps slices (the counts are the
+// first slice's, so they depend only on --seed); writes
 // BENCH_workload.json for the perf trajectory next to BENCH_kernel.json and
 // BENCH_net.json, including the wheel-vs-heap pop split of the timing-wheel
 // kernel. Wall-clock numbers are NOT bit-stable, which is why this lives
@@ -30,6 +31,7 @@
 //                         [--scenario=FILE] [--csv=path]
 //   ./bench_churn_longrun --engine [--duration=S] [--reps=N] [--seed=N]
 //                         [--pools=100,300,...] [--out=BENCH_workload.json]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
@@ -51,9 +53,12 @@ using Clock = std::chrono::steady_clock;
 constexpr int kTfrc = workload::class_index(workload::FlowClass::kTfrc);
 constexpr int kTcp = workload::class_index(workload::FlowClass::kTcp);
 
+/// events_per_sec is the best of the reps. Every other field is rep 0's:
+/// each rep runs its own seed, so taking them from the fastest rep would let
+/// two builds with identical sample paths report different counts.
 struct EngineResult {
   std::string name;
-  std::uint64_t events = 0;        // best slice
+  std::uint64_t events = 0;
   double events_per_sec = 0.0;     // wall-clock, best of reps
   std::uint64_t peak_flows = 0;
   std::uint64_t completions = 0;
@@ -107,9 +112,8 @@ EngineResult run_engine_workload(int pool, double seconds, std::uint64_t seed, i
     const double wall = std::chrono::duration<double>(Clock::now() - t0).count();
 
     const std::uint64_t events = sim.events_executed() - events0;
-    const double eps = static_cast<double>(events) / wall;
-    if (eps > out.events_per_sec) {
-      out.events_per_sec = eps;
+    out.events_per_sec = std::max(out.events_per_sec, static_cast<double>(events) / wall);
+    if (rep == 0) {
       out.events = events;
       const auto summary = churn.summarize();
       out.peak_flows = summary.peak_flows;
