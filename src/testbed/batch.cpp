@@ -242,10 +242,16 @@ void hang_now(bool in_worker) {
 
 /// Allocation storm. In a worker subprocess: cap our own address space, then
 /// allocate (and touch) until the cap bites — a deterministic, self-limiting
-/// stand-in for the kernel OOM killer — and abort. In-process: throw
-/// bad_alloc, modeling allocator exhaustion without destabilizing the sweep.
+/// stand-in for the kernel OOM killer — and abort. The attribution line goes
+/// out first: under a sanitizer the runtime's allocator does not throw but
+/// reports and exits (the supervisor recognises that report), so nothing
+/// after the storm would be printed. In-process: throw bad_alloc, modeling
+/// allocator exhaustion without destabilizing the sweep.
 void oom_now(bool in_worker, std::size_t cell) {
   if (!in_worker) throw std::bad_alloc();
+  std::fprintf(stderr, "injected fault: oom storm at cell #%zu, allocating until RLIMIT_AS\n",
+               cell);
+  std::fflush(stderr);
   rlimit lim{};
   ::getrlimit(RLIMIT_AS, &lim);
   const rlim_t cap = rlim_t{1} << 31;  // 2 GiB: far above the sim footprint
@@ -261,7 +267,7 @@ void oom_now(bool in_worker, std::size_t cell) {
       for (std::size_t off = 0; off < kBlock; off += 4096) hoard.back()[off] = 1;
     }
   } catch (const std::bad_alloc&) {
-    std::fprintf(stderr, "injected fault: oom storm at cell #%zu exhausted RLIMIT_AS\n", cell);
+    // The cap bit: die as the kernel OOM killer's victim would.
   }
   std::abort();
 }

@@ -30,7 +30,10 @@
 //   kOomStorm         — allocate until the allocator gives out: under
 //                       --isolate=process the worker caps its own RLIMIT_AS,
 //                       allocates to the cap, and aborts (a deterministic
-//                       stand-in for the kernel OOM killer); in-process it
+//                       stand-in for the kernel OOM killer; under a
+//                       sanitizer its allocator reports and exits instead,
+//                       which the supervisor also attributes as a crash,
+//                       "out of memory"); in-process it
 //                       throws std::bad_alloc. key = batch cell index;
 //                       attempt as above.
 //   kTornCacheWrite   — truncate a ResultStore entry to half its size right

@@ -116,6 +116,10 @@ std::string WorkerOutcome::describe() const {
   if (killed) {
     return "killed at the cell deadline (SIGKILL) after " + format_seconds(elapsed_s) + " s";
   }
+  if (out_of_memory) {
+    return "crashed: out of memory (sanitizer allocator report, exited " +
+           std::to_string(exit_code) + ")";
+  }
   if (crashed) {
     std::string s = "crashed: " + signal_name(term_signal);
     if (term_signal == SIGKILL) {
@@ -385,11 +389,22 @@ bool await_child(const Child& child, Reply& reply, Clock::time_point t0,
   return false;
 }
 
-/// Classifies a reaped child's wait status into `out`.
+/// Whether a stderr tail holds a sanitizer allocator's out-of-memory death
+/// report: "ERROR: <Tool>Sanitizer: out of memory: ..." when the report can
+/// be written, "ERROR: Failed to mmap" when writing it needs memory too.
+[[nodiscard]] bool sanitizer_out_of_memory(const std::string& tail) {
+  return tail.find("Sanitizer: out of memory") != std::string::npos ||
+         tail.find("ERROR: Failed to mmap") != std::string::npos;
+}
+
+/// Classifies a reaped child's wait status (and, for a nonzero exit, its
+/// last words) into `out`.
 void set_exit_status(WorkerOutcome& out, int status, const rusage& ru) {
   out.max_rss_kb = ru.ru_maxrss;
   if (WIFEXITED(status)) {
     out.exit_code = WEXITSTATUS(status);
+    out.out_of_memory = out.exit_code != 0 && sanitizer_out_of_memory(out.stderr_tail);
+    out.crashed = out.out_of_memory;
   } else if (WIFSIGNALED(status)) {
     out.term_signal = WTERMSIG(status);
     // A SIGKILL we sent is a deadline kill, not a crash.

@@ -89,7 +89,11 @@ struct WorkerLimits {
 /// What happened to one supervised worker.
 struct WorkerOutcome {
   bool ok = false;       // the worker replied in time
-  bool crashed = false;  // died on a signal the supervisor did not send
+  bool crashed = false;  // died on a signal the supervisor did not send, or of memory
+  /// Exited nonzero after a sanitizer allocator's out-of-memory report (a
+  /// sanitizer runtime dies with an exit code, not a signal, when an
+  /// allocation fails). Counted as a crash.
+  bool out_of_memory = false;
   bool killed = false;   // SIGKILLed by the supervisor at the deadline
   int exit_code = -1;    // WEXITSTATUS when the worker exited normally
   int term_signal = 0;   // WTERMSIG when the worker died on a signal

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -89,6 +90,37 @@ TEST(SupervisorTest, NonzeroExitCodeIsReported) {
   EXPECT_FALSE(o.crashed);
   EXPECT_EQ(o.exit_code, 7);
   EXPECT_EQ(o.describe(), "exited 7");
+}
+
+TEST(SupervisorTest, SanitizerOutOfMemoryExitIsAttributedAsCrash) {
+  // A sanitizer's allocator does not raise when memory runs out: it prints
+  // its report and exits 1. Both of its report forms count as a crash.
+  for (const char* report :
+       {"==42==ERROR: AddressSanitizer: out of memory: allocator is trying to allocate 0x1000 bytes\n",
+        "=================================================================\nERROR: Failed to mmap\n"}) {
+    const WorkerOutcome o = one_request([report]() -> std::string {
+      std::fputs(report, stderr);
+      std::fflush(stderr);
+      ::_exit(1);
+    });
+    EXPECT_FALSE(o.ok);
+    EXPECT_TRUE(o.crashed) << report;
+    EXPECT_TRUE(o.out_of_memory) << report;
+    EXPECT_EQ(o.term_signal, 0);
+    EXPECT_EQ(o.describe(), "crashed: out of memory (sanitizer allocator report, exited 1)");
+  }
+  // A nonzero exit without the report, or the report and exit 0, is not.
+  for (const auto& [words, code] : {std::pair<const char*, int>{"ERROR: something else\n", 1},
+                                    {"ERROR: Failed to mmap\n", 0}}) {
+    const WorkerOutcome o = one_request([words, code]() -> std::string {
+      std::fputs(words, stderr);
+      std::fflush(stderr);
+      ::_exit(code);
+    });
+    EXPECT_FALSE(o.crashed) << words;
+    EXPECT_FALSE(o.out_of_memory) << words;
+    EXPECT_EQ(o.exit_code, code);
+  }
 }
 
 TEST(SupervisorTest, AbortIsAttributedAsCrashWithSignal) {
