@@ -211,6 +211,7 @@ class PacedConnection {
   void reset_transfer_state();
   void on_data(const Packet& p);
   void feedback_tick();
+  /// No-op unless the feedback chain is parked; see the header comment.
   void unpark_feedback();
 
   /// Per-transfer sender hot state, rewound wholesale by open().
@@ -288,13 +289,13 @@ void PacedConnection<Law>::start(double at) {
 template <RateLaw Law>
 void PacedConnection<Law>::stop() {
   running_ = false;
-  if (feedback_parked_at_ != 0.0) unpark_feedback();
+  unpark_feedback();
 }
 
 template <RateLaw Law>
 void PacedConnection<Law>::open(std::uint64_t transfer_packets, CompletionFn on_complete) {
   // Unpark on the old rtt_hint, before the rewind resets it.
-  if (feedback_parked_at_ != 0.0) unpark_feedback();
+  unpark_feedback();
   reset_transfer_state();
   snd_.transfer_limit = transfer_packets;
   done_ = std::move(on_complete);
@@ -311,13 +312,13 @@ template <RateLaw Law>
 void PacedConnection<Law>::close() {
   running_ = false;
   done_ = CompletionFn{};
-  if (feedback_parked_at_ != 0.0) unpark_feedback();
+  unpark_feedback();
 }
 
 template <RateLaw Law>
 void PacedConnection<Law>::finish_transfer() {
   running_ = false;
-  if (feedback_parked_at_ != 0.0) unpark_feedback();
+  unpark_feedback();
   ++transfers_completed_;
   if (done_) {
     // Move out first: the callback may re-enter the pool and hand this slot
@@ -405,7 +406,7 @@ void PacedConnection<Law>::on_feedback(const Packet& p) {
 template <RateLaw Law>
 void PacedConnection<Law>::on_data(const Packet& p) {
   // Unpark on the rtt_hint the parked grid was stepped with.
-  if (feedback_parked_at_ != 0.0) unpark_feedback();
+  unpark_feedback();
   const double now = net_.simulator().now();
   if (p.data.rtt_hint > 0) rcv_.rtt_hint = p.data.rtt_hint;
   recorder_.set_rtt_window(rcv_.rtt_hint);
@@ -458,6 +459,7 @@ void PacedConnection<Law>::feedback_tick() {
 
 template <RateLaw Law>
 void PacedConnection<Law>::unpark_feedback() {
+  if (feedback_parked_at_ == 0.0) return;
   // Every grid point up to and including now would have been an empty tick
   // (see the tie rule in the header comment); resume at the next one.
   const double now = net_.simulator().now();

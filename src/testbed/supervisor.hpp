@@ -89,7 +89,7 @@ struct WorkerLimits {
 /// What happened to one supervised worker.
 struct WorkerOutcome {
   bool ok = false;       // the worker replied in time
-  bool crashed = false;  // died on a signal the supervisor did not send, or of memory
+  bool crashed = false;  // died on a signal the supervisor did not send, or out_of_memory
   /// Exited nonzero after a sanitizer allocator's out-of-memory report (a
   /// sanitizer runtime dies with an exit code, not a signal, when an
   /// allocation fails). Counted as a crash.
