@@ -10,7 +10,10 @@
 // permanent, the object is address-stable) and then cycled through
 // open()/close() per transfer: open() rewinds per-transfer POD state while
 // cumulative measurement counters survive, close() retires the flow with
-// pacing/feedback chains dying lazily against the running flag. The pool
+// pacing/feedback chains dying lazily, each at its next firing, against the
+// running flag. A paced receiver's feedback chain only fires while there is
+// something to report: idle, it parks with no kernel event pending, and
+// close() unparks it onto its next tick so it dies the same way. The pool
 // quarantines retired slots for a drain interval before reuse.
 //
 // The concept is structural and checked at compile time for every class in

@@ -3,12 +3,11 @@
 // Each cell drives one controller on a seeded dumbbell for a fixed span and
 // folds a 10 ms sample of every connection's observable state — sent,
 // delivered, loss events, smoothed RTT, pacing rate and queuing-delay
-// telemetry — into one FNV-1a digest, the state digest. A second, counted
-// digest continues the first with the kernel's executed-event count. A
-// second set pins encode_result() of a full run_experiment() churn cell per
-// controller (and one static ns-2 cell), so the pool, the epoch sweeps and
-// the codec are covered too: once with the `kernel_*` obs masked, once as
-// encoded.
+// telemetry — into one FNV-1a digest, the state digest; the counted digest
+// continues it with the kernel's executed-event count. A second set pins
+// encode_result() of a full run_experiment() churn cell per controller (and
+// one static ns-2 cell), so the pool, the epoch sweeps and the codec are
+// covered too: once with the `kernel_*` obs masked, once in full.
 //
 // TCP is the control: it shares no transport code with the paced
 // controllers, so a change to the paced skeleton that moves the TCP digest
@@ -18,11 +17,12 @@
 // one skeleton; the state and masked constants digest those same runs
 // without the kernel's counts. A mismatch in one of them means a
 // controller's behaviour changed: that is a regression of every seeded
-// result in the repository, not a test to update. The counted and full constants also pin how many
-// events the kernel executed, so a change that schedules fewer events for
-// the same sample path (an idle feedback chain that parks instead of
-// ticking) moves them and only them; they are re-recorded with such a
-// change, and its CHANGES.md entry lists the old and new counts.
+// result in the repository, not a test to update. The counted and full
+// constants also pin how many events the kernel executed, so a change that
+// schedules fewer events for the same sample paths (an idle feedback chain
+// that parks instead of ticking) moves them and only them; they are
+// re-recorded with such a change, and its CHANGES.md entry lists the old
+// and new counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -135,14 +135,15 @@ std::string hex(std::uint64_t v) {
   } while (0)
 
 TEST(PacedGolden, TfrcStatic) {
-  EXPECT_CELL(run_cell<tfrc::TfrcConnection>(false, tfrc::TfrcConfig{}, false), 0x19a46602a0bcb1cfull,
-              0x664c5b15e9476876ull);
+  EXPECT_CELL(run_cell<tfrc::TfrcConnection>(false, tfrc::TfrcConfig{}, false),
+              0x19a46602a0bcb1cfull, 0x664c5b15e9476876ull);
 }
 
 TEST(PacedGolden, TfrcPooled) {
   tfrc::TfrcConfig cfg;
   cfg.comprehensive = false;  // the lab TFRC, as the pooled churn cells use it
-  EXPECT_CELL(run_cell<tfrc::TfrcConnection>(true, cfg, false), 0x4b803db413537c85ull, 0xb22890554444a7fbull);
+  EXPECT_CELL(run_cell<tfrc::TfrcConnection>(true, cfg, false), 0x4b803db413537c85ull,
+              0xb22890554444a7fbull);
 }
 
 TEST(PacedGolden, DelayAimd) {

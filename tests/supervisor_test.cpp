@@ -95,9 +95,9 @@ TEST(SupervisorTest, NonzeroExitCodeIsReported) {
 TEST(SupervisorTest, SanitizerOutOfMemoryExitIsAttributedAsCrash) {
   // A sanitizer's allocator does not raise when memory runs out: it prints
   // its report and exits 1. Both of its report forms count as a crash.
-  for (const char* report :
-       {"==42==ERROR: AddressSanitizer: out of memory: allocator is trying to allocate 0x1000 bytes\n",
-        "=================================================================\nERROR: Failed to mmap\n"}) {
+  for (const char* report : {"==42==ERROR: AddressSanitizer: out of memory: allocator is "
+                             "trying to allocate 0x1000 bytes\n",
+                             "==========\nERROR: Failed to mmap\n"}) {
     const WorkerOutcome o = one_request([report]() -> std::string {
       std::fputs(report, stderr);
       std::fflush(stderr);
