@@ -113,14 +113,14 @@ if(NOT sum_code EQUAL 0 OR NOT sum_out MATCHES "${CELLS} runs")
 endif()
 
 # --- 4: fault-injected keep-going sweep, then resume --------------------------
-# Three cells fail persistently (two throws, one deadline overrun); the sweep
-# must complete the rest, write a 3-entry failure manifest, and a fault-free
-# resume over the same cache must simulate ONLY those 3 cells and reproduce
-# the clean cold stdout bit-for-bit.
+# Three cells fail persistently (two throws, one hang the in-process poll
+# preempts at the deadline); the sweep must complete the rest, write a
+# 3-entry failure manifest, and a fault-free resume over the same cache must
+# simulate ONLY those 3 cells and reproduce the clean cold stdout bit-for-bit.
 math(EXPR HEALTHY "${CELLS} - 3")
 run_figure(fault_out fault_err --cache=${WORK_DIR}/fault-cache --keep-going
-           --max-retries=1 --cell-deadline=600
-           --inject-faults=throw@1:*,throw@4:*,timeout@2:*
+           --max-retries=1 --cell-deadline=3
+           --inject-faults=throw@1:*,throw@4:*,hang@2:*
            --summary-out=${WORK_DIR}/fault-sum.txt)
 if(NOT fault_err MATCHES "failed=3 retried=3 timed_out=1")
   message(FATAL_ERROR "keep-going sweep did not isolate the injected faults:\n${fault_err}")
@@ -170,7 +170,7 @@ endif()
 # survives all three, attributes each correctly in the manifest, drops repro
 # bundles for the abnormal deaths, and streams the JSONL event feed.
 run_figure(crash_out crash_err --cache=${WORK_DIR}/iso-fault-cache --keep-going
-           --isolate=process --cell-deadline=60
+           --isolate=process --cell-deadline=3
            --inject-faults=crash@1:*,hang@2:*,throw@4:*
            --summary-out=${WORK_DIR}/iso-sum.txt
            --events-out=${WORK_DIR}/iso-events.jsonl)

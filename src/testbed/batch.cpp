@@ -334,20 +334,8 @@ struct Attempt {
     ro.probe_interval_s = policy.probe_interval_s;
     ro.probe_capacity = policy.probe_capacity;
     ro.trace = policy.trace != nullptr ? &a.trace : nullptr;
-    ExperimentResult r = run_experiment(sc, &ro);
-    double elapsed = seconds_since(t0);
-    if (fault::fire(fault::Kind::kDeadlineOverrun, i, attempt)) {
-      elapsed = (policy.cell_deadline_s > 0 ? policy.cell_deadline_s : elapsed) + 1.0;
-    }
-    fail.elapsed_s = elapsed;
-    if (policy.cell_deadline_s > 0 && elapsed > policy.cell_deadline_s) {
-      fail.timed_out = true;
-      fail.what = "cell exceeded --cell-deadline (" + std::to_string(elapsed) + " s > " +
-                  std::to_string(policy.cell_deadline_s) + " s)";
-      return a;  // a retry may clear a transient stall
-    }
-    a.result = std::move(r);
-    return a;
+    a.result = run_experiment(sc, &ro);
+    fail.elapsed_s = seconds_since(t0);
   } catch (const sim::WallDeadlineError& e) {
     // The 64k-event poll preempted a cell running past --cell-deadline.
     fail.elapsed_s = seconds_since(t0);

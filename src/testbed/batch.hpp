@@ -217,8 +217,9 @@ class BatchRunner {
   /// rest of the sweep completes. The per-attempt deadline is cooperative
   /// in-process — polled inside the simulator event loop every 64k events,
   /// so a runaway cell times out mid-run — and a hard SIGKILL under
-  /// policy.isolate = kProcess. Either way a timed-out cell is excluded
-  /// from results and the store, exactly as if it had thrown.
+  /// policy.isolate = kProcess. Either way an attempt that returns a result
+  /// is kept, and one still running at its deadline is stopped, marked
+  /// timed_out, and excluded from results and the store as if it had thrown.
   [[nodiscard]] std::vector<ExperimentResult> run(const std::vector<Scenario>& scenarios,
                                                   const ResultStore* store,
                                                   ShardSpec shard = {},

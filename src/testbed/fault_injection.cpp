@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <charconv>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 
@@ -35,9 +36,6 @@ std::atomic<std::uint64_t> g_fired{0};
   if (kind_name == "throw") {
     inj.kind = Kind::kThrow;
     takes_attempt = true;
-  } else if (kind_name == "timeout") {
-    inj.kind = Kind::kDeadlineOverrun;
-    takes_attempt = true;
   } else if (kind_name == "crash") {
     inj.kind = Kind::kCrash;
     takes_attempt = true;
@@ -54,7 +52,7 @@ std::atomic<std::uint64_t> g_fired{0};
   } else {
     throw std::invalid_argument(
         "fault plan: unknown kind '" + kind_name +
-        "' (known: throw, timeout, crash, hang, oom, torn-cache, torn-index) in '" + token + "'");
+        "' (known: throw, crash, hang, oom, torn-cache, torn-index) in '" + token + "'");
   }
 
   std::string rest = token.substr(at + 1);
@@ -68,7 +66,12 @@ std::atomic<std::uint64_t> g_fired{0};
     if (attempt_tok == "*") {
       inj.attempt = kEveryAttempt;
     } else {
-      inj.attempt = static_cast<int>(parse_u64(attempt_tok, token));
+      const std::uint64_t n = parse_u64(attempt_tok, token);
+      if (n > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+        throw std::invalid_argument("fault plan: attempt '" + attempt_tok +
+                                    "' out of range in '" + token + "'");
+      }
+      inj.attempt = static_cast<int>(n);
     }
     rest = rest.substr(0, colon);
   }

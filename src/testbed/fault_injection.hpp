@@ -14,9 +14,6 @@
 //                       first try — so a sweep with --max-retries >= 1
 //                       recovers, modeling a transient infra failure;
 //                       attempt = kEveryAttempt makes it persistent).
-//   kDeadlineOverrun  — inflate the cell's measured wall-clock elapsed past
-//                       the configured --cell-deadline, as if the cell hung.
-//                       key = batch cell index; attempt as above.
 //   kCrash            — abort() inside the cell executor, modeling SIGSEGV /
 //                       SIGABRT worker death. Under --isolate=process only
 //                       the worker subprocess dies; in-process it takes the
@@ -46,10 +43,10 @@
 //
 // Plans parse from a compact spec string (the --inject-faults value):
 //
-//   "throw@3,throw@7:1,timeout@5,crash@1:*,hang@2:*,oom@4,torn-cache@0"
+//   "throw@3,throw@7:1,crash@1:*,hang@2:*,oom@4,torn-cache@0"
 //
 // i.e. comma/semicolon-separated `kind@key[:attempt]` tokens where kind is
-// throw | timeout | crash | hang | oom | torn-cache | torn-index and
+// throw | crash | hang | oom | torn-cache | torn-index and
 // `:attempt` (all cell-keyed kinds) selects the attempt to fire on
 // (`:*` = every attempt).
 #pragma once
@@ -62,7 +59,6 @@ namespace ebrc::testbed::fault {
 
 enum class Kind {
   kThrow,
-  kDeadlineOverrun,
   kCrash,
   kHang,
   kOomStorm,

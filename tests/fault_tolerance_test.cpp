@@ -6,10 +6,12 @@
 //     fault is bit-identical to a run that never failed (CRN preserved),
 //   * a resumed sweep over the same store simulates ONLY the failed cells
 //     and converges to bitwise equality with a clean cold run,
-//   * a deadline overrun is captured as a timed_out CellFailure,
+//   * an in-process hang is preempted by the simulator's cooperative
+//     deadline poll and captured as a timed_out CellFailure,
 //   * fail-fast (the default) rethrows with the cell named,
 //   * the --inject-faults spec parser and the failure-manifest file format
-//     round-trip and reject malformed input,
+//     round-trip and reject malformed input; a fixed-seed mutation fuzzer
+//     holds the spec parser to reject-or-round-trip,
 //   * --isolate=process: bit-identity with the in-process run, crash / hang /
 //     oom containment, one persistent worker per pool thread (respawned
 //     after a death), and concurrent isolated sweeps in one process.
@@ -29,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/random.hpp"
 #include "testbed/batch.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/fault_injection.hpp"
@@ -99,7 +102,7 @@ void expect_same_run(const ExperimentResult& a, const ExperimentResult& b) {
 
 TEST(FaultInjection, PlanSpecParsesAndRejectsMalformedInput) {
   const auto plan =
-      fault::parse_plan("throw@3,throw@7:1,timeout@5:*,torn-cache@0;torn-index@2");
+      fault::parse_plan("throw@3,throw@7:1,hang@5:*,torn-cache@0;torn-index@2");
   ASSERT_EQ(plan.size(), 5u);
   EXPECT_EQ(plan[0].kind, fault::Kind::kThrow);
   EXPECT_EQ(plan[0].key, 3u);
@@ -107,7 +110,7 @@ TEST(FaultInjection, PlanSpecParsesAndRejectsMalformedInput) {
   EXPECT_EQ(plan[1].kind, fault::Kind::kThrow);
   EXPECT_EQ(plan[1].key, 7u);
   EXPECT_EQ(plan[1].attempt, 1);
-  EXPECT_EQ(plan[2].kind, fault::Kind::kDeadlineOverrun);
+  EXPECT_EQ(plan[2].kind, fault::Kind::kHang);
   EXPECT_EQ(plan[2].attempt, fault::kEveryAttempt);
   EXPECT_EQ(plan[3].kind, fault::Kind::kTornCacheWrite);
   EXPECT_EQ(plan[4].kind, fault::Kind::kTornIndexRecord);
@@ -125,10 +128,15 @@ TEST(FaultInjection, PlanSpecParsesAndRejectsMalformedInput) {
 
   EXPECT_THROW((void)fault::parse_plan(""), std::invalid_argument);
   EXPECT_THROW((void)fault::parse_plan("explode@1"), std::invalid_argument);
+  EXPECT_THROW((void)fault::parse_plan("timeout@5"), std::invalid_argument);
   EXPECT_THROW((void)fault::parse_plan("throw"), std::invalid_argument);
   EXPECT_THROW((void)fault::parse_plan("throw@"), std::invalid_argument);
   EXPECT_THROW((void)fault::parse_plan("throw@x"), std::invalid_argument);
   EXPECT_THROW((void)fault::parse_plan("throw@1:"), std::invalid_argument);
+  // An attempt above INT_MAX is rejected, not wrapped into another attempt.
+  EXPECT_THROW((void)fault::parse_plan("throw@1:4294967295"), std::invalid_argument);
+  EXPECT_THROW((void)fault::parse_plan("throw@1:2147483648"), std::invalid_argument);
+  EXPECT_THROW((void)fault::parse_plan("hang@3:8589934593"), std::invalid_argument);
   // Torn kinds fire by ordinal, not attempt — an attempt suffix is an error.
   EXPECT_THROW((void)fault::parse_plan("torn-cache@0:1"), std::invalid_argument);
   EXPECT_THROW((void)fault::parse_plan("torn-index@0:*"), std::invalid_argument);
@@ -145,13 +153,105 @@ TEST(FaultInjection, FireMatchesKeyAndAttemptAndCounts) {
   EXPECT_TRUE(fault::fire(fault::Kind::kThrow, 2, 0));
   EXPECT_TRUE(fault::fire(fault::Kind::kThrow, 5, 0));  // every attempt
   EXPECT_TRUE(fault::fire(fault::Kind::kThrow, 5, 3));
-  EXPECT_FALSE(fault::fire(fault::Kind::kDeadlineOverrun, 2, 0));  // wrong kind
+  EXPECT_FALSE(fault::fire(fault::Kind::kHang, 2, 0));  // wrong kind
   EXPECT_TRUE(fault::fire(fault::Kind::kTornCacheWrite, 1));
   EXPECT_EQ(fault::fired(), 4u);
 
   fault::disarm();
   EXPECT_FALSE(fault::armed());
   EXPECT_FALSE(fault::fire(fault::Kind::kThrow, 2, 0));
+}
+
+/// The canonical `kind@key[:attempt]` form of a parsed plan: every
+/// cell-keyed token spells its attempt out (`*` for every attempt).
+std::string render_plan(const std::vector<fault::Injection>& plan) {
+  std::string out;
+  for (const auto& inj : plan) {
+    if (!out.empty()) out += ',';
+    bool cell_keyed = true;
+    switch (inj.kind) {
+      case fault::Kind::kThrow: out += "throw"; break;
+      case fault::Kind::kCrash: out += "crash"; break;
+      case fault::Kind::kHang: out += "hang"; break;
+      case fault::Kind::kOomStorm: out += "oom"; break;
+      case fault::Kind::kTornCacheWrite: out += "torn-cache"; cell_keyed = false; break;
+      case fault::Kind::kTornIndexRecord: out += "torn-index"; cell_keyed = false; break;
+    }
+    out += '@' + std::to_string(inj.key);
+    if (cell_keyed) {
+      out += ':';
+      out += inj.attempt == fault::kEveryAttempt ? "*" : std::to_string(inj.attempt);
+    }
+  }
+  return out;
+}
+
+TEST(FaultInjection, PlanSpecFuzz) {
+  // Valid seeds, including attempts and keys at the edge of their range, so
+  // a few digit inserts reach values that no longer fit.
+  const std::vector<std::string> seeds = {
+      "throw@3,throw@7:1,crash@1:*,hang@2:*,oom@4,torn-cache@0;torn-index@2",
+      "hang@2147483647:2147483647",
+      "oom@18446744073709551615:0, throw@0:*",
+      "torn-index@9;crash@12:3",
+  };
+  static constexpr char kAlphabet[] = "0123456789@:*,; -+xtc";
+  ebrc::sim::Rng rng(0x5eed'fa17'0000'0001ull);
+  const auto below = [&](std::size_t n) {
+    return n == 0 ? std::size_t{0}
+                  : static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+
+  std::size_t accepted = 0;
+  for (int m = 0; m < 20000; ++m) {
+    std::string spec = seeds[below(seeds.size())];
+    for (std::size_t r = 1 + below(4); r > 0; --r) {
+      switch (below(4)) {
+        case 0:  // byte flip
+          if (!spec.empty()) spec[below(spec.size())] ^= static_cast<char>(1u << below(8));
+          break;
+        case 1:  // insert
+          spec.insert(below(spec.size() + 1), 1,
+                      below(4) == 0 ? static_cast<char>(below(256))
+                                    : kAlphabet[below(sizeof(kAlphabet) - 1)]);
+          break;
+        case 2:  // truncation
+          spec.resize(below(spec.size() + 1));
+          break;
+        default: {  // splice: a prefix of this spec, the tail of a seed
+          const std::string& other = seeds[below(seeds.size())];
+          spec = spec.substr(0, below(spec.size() + 1)) + other.substr(below(other.size() + 1));
+          break;
+        }
+      }
+    }
+
+    std::vector<fault::Injection> plan;
+    try {
+      plan = fault::parse_plan(spec);
+    } catch (const std::invalid_argument&) {
+      continue;  // any other exception type fails the test
+    }
+    ++accepted;
+    for (const auto& inj : plan) {
+      // In [kEveryAttempt, INT_MAX]; the upper bound holds by type.
+      ASSERT_GE(inj.attempt, fault::kEveryAttempt) << spec;
+      if (inj.kind == fault::Kind::kTornCacheWrite || inj.kind == fault::Kind::kTornIndexRecord) {
+        ASSERT_EQ(inj.attempt, 0) << spec;
+      }
+    }
+    const std::string canonical = render_plan(plan);
+    const auto again = fault::parse_plan(canonical);
+    ASSERT_EQ(again.size(), plan.size()) << spec << " -> " << canonical;
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      ASSERT_EQ(again[i].kind, plan[i].kind) << spec << " -> " << canonical;
+      ASSERT_EQ(again[i].key, plan[i].key) << spec << " -> " << canonical;
+      ASSERT_EQ(again[i].attempt, plan[i].attempt) << spec << " -> " << canonical;
+    }
+  }
+  // The mutants must exercise both outcomes, or the oracle proves little.
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_LT(accepted, 20000u);
 }
 
 TEST(FaultTolerance, KeepGoingIsolatesInjectedFailures) {
@@ -245,30 +345,6 @@ TEST(FaultTolerance, ResumeConvergesToCleanColdRun) {
   (void)runner.run(batch, &store, ShardSpec{}, &warm, policy);
   EXPECT_EQ(warm.hits, batch.size());
   EXPECT_EQ(warm.simulated, 0u);
-}
-
-TEST(FaultTolerance, DeadlineOverrunIsCapturedAsTimedOutFailure) {
-  FaultGuard guard;
-  const auto batch = ebrc::testbed::replicate(short_ns2(0), /*root_seed=*/19, /*reps=*/2);
-  const BatchRunner runner(2);
-
-  // The injection inflates the measured wall-clock past the (generous)
-  // deadline, so the check trips deterministically without a real hang.
-  fault::arm({{fault::Kind::kDeadlineOverrun, 0, fault::kEveryAttempt}});
-  RunPolicy policy;
-  policy.keep_going = true;
-  policy.cell_deadline_s = 600.0;
-  SweepReport rep;
-  (void)runner.run(batch, nullptr, ShardSpec{}, &rep, policy);
-
-  EXPECT_EQ(rep.failed, 1u);
-  EXPECT_EQ(rep.timed_out, 1u);
-  ASSERT_EQ(rep.failures.size(), 1u);
-  EXPECT_EQ(rep.failures[0].index, 0u);
-  EXPECT_TRUE(rep.failures[0].timed_out);
-  EXPECT_GT(rep.failures[0].elapsed_s, policy.cell_deadline_s);
-  EXPECT_NE(rep.failures[0].what.find("--cell-deadline"), std::string::npos);
-  EXPECT_EQ(rep.simulated, 1u);  // the healthy cell still completed
 }
 
 TEST(FaultTolerance, FailFastNamesTheFailingCell) {
@@ -648,10 +724,13 @@ TEST(InProcessDeadline, InjectedHangTimesOutViaCooperativePoll) {
 
   EXPECT_EQ(rep.failed, 1u);
   EXPECT_EQ(rep.timed_out, 1u);
-  EXPECT_EQ(rep.simulated, 1u);
+  EXPECT_EQ(rep.simulated, 1u);  // the healthy cell still simulated
   ASSERT_EQ(rep.failures.size(), 1u);
   EXPECT_EQ(rep.failures[0].index, 1u);
   EXPECT_TRUE(rep.failures[0].timed_out);
+  EXPECT_GE(rep.failures[0].elapsed_s, policy.cell_deadline_s);
+  EXPECT_NE(rep.failures[0].what.find("--cell-deadline"), std::string::npos)
+      << rep.failures[0].what;
 }
 
 // ---- event feed through the batch layer -------------------------------------
