@@ -8,14 +8,15 @@
 //
 // Layer 3 fans out through BatchRunner::map: one cell for the deterministic
 // AIMD sender, --reps cells for independent TFRC replications (per-rep
-// derived seeds, mean ± 95% CI on p).
+// derived seeds, mean ± 95% CI on p). Both senders run on the paced
+// transport, each alone on the same path shape.
 #include "bench_common.hpp"
 #include "model/aimd.hpp"
 #include "net/dumbbell.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "stats/online.hpp"
-#include "tcp/aimd_sender.hpp"
+#include "tcp/aimd_connection.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/scenario.hpp"
 
@@ -51,9 +52,11 @@ int main(int argc, char** argv) {
             << "  (closed form " << util::fmt(model::aimd_time_average_rate(a, c), 5) << ")\n";
 
   // Layer 3: stochastic packet-level — rate-based AIMD alone vs an
-  // equation-based sender alone on the same link, then their loss-rate
-  // ratio (the "numerical simulations" the paper mentions but does not
-  // display). The comparison is only meaningful when both use the SAME
+  // equation-based sender alone on the same path shape (1 Mb/s
+  // DropTail(5), 1 ms shared propagation, 100 ms base RTT, which the TFRC
+  // cells jitter by up to ±5%), then their loss-rate ratio (the "numerical
+  // simulations" the paper mentions but does not display).
+  // The comparison is only meaningful when both use the SAME
   // loss-throughput law: AIMD(alpha = 0.5, beta = 0.5) has the constant
   // sqrt(alpha(1+beta)/(2(1-beta))) = sqrt(0.375) = 1/c1 for b = 2, i.e.
   // exactly our SQRT formula.
@@ -65,14 +68,13 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.reps) + 1, [&](std::size_t idx) {
         if (idx == 0) {
           sim::Simulator sim_a;
-          net::Dumbbell net_a(sim_a, net::Queue::drop_tail(5), 1e6, 0.0005);
-          const int id_a = net_a.add_flow(0.0005, 0.001);
-          tcp::AimdSenderConfig acfg;
+          net::Dumbbell net_a(sim_a, net::Queue::drop_tail(5), 1e6, 0.001);
+          const int id_a = net_a.add_flow(0.049, 0.05);
+          tcp::AimdConfig acfg;
           acfg.alpha = 0.5;  // matches SQRT's c1 at beta = 1/2
           acfg.beta = 0.5;
-          acfg.rtt_s = 0.1;
           acfg.initial_rate = 70.0;
-          tcp::AimdSender aimd(net_a, id_a, acfg);
+          tcp::AimdConnection aimd(net_a, id_a, 0.1, acfg);
           aimd.start(0.0);
           sim_a.run_until(duration);
           return aimd.recorder().loss_event_rate();

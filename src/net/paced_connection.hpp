@@ -1,13 +1,14 @@
 // One paced transport under every rate-based controller in the zoo.
 //
-// TFRC, delay-based AIMD and RCP move packets the same way: a sender paces
-// data at a rate, a receiver counts arrivals and sequence gaps and reports
-// once per RTT, and the sender maps each report to a new rate. Only that
-// last map — the rate law — differs, so PacedConnection<Law> owns everything
-// else and the law is a small policy class, in the spirit of an
+// TFRC, delay-based AIMD, RCP and rate-based AIMD(alpha, beta) move packets
+// the same way: a sender paces data at a rate, a receiver counts arrivals
+// and sequence gaps and reports once per RTT, and the sender maps each
+// report to a new rate. Only that last map — the rate law — differs, so
+// PacedConnection<Law> owns everything else and the law is a small policy
+// class, in the spirit of an
 // `AimdRateControl::Update(state, throughput, now) -> DataRate`:
 //
-//   skeleton (here)                      law (tfrc/, delay_aimd/, rcp/)
+//   skeleton (here)                      law (tfrc/, delay_aimd/, rcp/, tcp/)
 //   ----------------------------------   ---------------------------------
 //   lifecycle: start/stop/open/close,    its Config and the checks only it
 //     completion, the POD rewind           needs; its per-transfer state,

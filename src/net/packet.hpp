@@ -17,7 +17,7 @@ namespace ebrc::net {
 enum class PacketKind : std::uint8_t {
   kData,
   kAck,          // TCP cumulative acknowledgment
-  kFeedback,     // TFRC / delay-AIMD receiver report
+  kFeedback,     // TFRC / delay-AIMD / AIMD receiver report
   kRcpFeedback,  // RCP receiver echo of the router-stamped rate
 };
 
@@ -35,7 +35,7 @@ struct Packet {
   };
   /// TFRC receiver-report payload (kind == kFeedback).
   struct FeedbackInfo {
-    double mean_interval;  // hat-theta reported by the receiver
+    double mean_interval;  // hat-theta reported by the receiver (AIMD: packets lost)
     double recv_rate;      // packets/s measured over the last RTT
     double echo_time;      // send_time of the packet being echoed
   };

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <stdexcept>
+#include <unordered_set>
 
 namespace ebrc::util {
 
@@ -73,6 +74,8 @@ void append_escaped(std::string& out, std::string_view s) {
     if (r.ec != std::errc{} || r.ptr != last) {
       fail(format, line, "malformed integer '" + std::string(token) + "'");
     }
+    // "-0" is zero, which is emitted (and so must be stored) unsigned.
+    if (i == 0) return DocValue(std::uint64_t{0});
     return DocValue(i);
   }
   std::uint64_t u = 0;
@@ -144,11 +147,11 @@ void append_escaped(std::string& out, std::string_view s) {
   fail(format, line, "unterminated string");
 }
 
-void check_duplicate(const DocTable& table, std::string_view key, const char* format,
-                     std::size_t line) {
-  if (doc_find(table, key) != nullptr) {
-    fail(format, line, "duplicate key '" + std::string(key) + "'");
-  }
+/// Keys already in one table, so a duplicate check costs O(1), not a scan.
+using KeySet = std::unordered_set<std::string>;
+
+void check_duplicate(KeySet& keys, const std::string& key, const char* format, std::size_t line) {
+  if (!keys.insert(key).second) fail(format, line, "duplicate key '" + key + "'");
 }
 
 void emit_scalar(std::string& out, const DocValue& v) {
@@ -186,25 +189,30 @@ void json_emit(std::string& out, const DocTable& table, int indent) {
   out += '}';
 }
 
+/// Deepest object nesting parse_json accepts. The scenario schema is two
+/// deep; the cap keeps hostile input from overflowing the stack.
+constexpr int kMaxJsonDepth = 64;
+
 class JsonParser {
  public:
   explicit JsonParser(std::string_view s) : s_(s) {}
 
   [[nodiscard]] DocTable parse() {
     skip_ws();
-    DocTable root = parse_object();
+    DocTable root = parse_object(1);
     skip_ws();
     if (i_ != s_.size()) fail("json", line(), "trailing characters after document");
     return root;
   }
 
  private:
-  [[nodiscard]] std::size_t line() const noexcept {
-    std::size_t n = 1;
-    for (std::size_t j = 0; j < i_ && j < s_.size(); ++j) {
-      if (s_[j] == '\n') ++n;
+  /// The line of s_[i_]. The cursor only moves forward, so the count
+  /// resumes where the last call stopped.
+  [[nodiscard]] std::size_t line() noexcept {
+    for (; line_pos_ < i_ && line_pos_ < s_.size(); ++line_pos_) {
+      if (s_[line_pos_] == '\n') ++line_;
     }
-    return n;
+    return line_;
   }
 
   void skip_ws() noexcept {
@@ -218,9 +226,13 @@ class JsonParser {
     ++i_;
   }
 
-  [[nodiscard]] DocTable parse_object() {
+  [[nodiscard]] DocTable parse_object(int depth) {
+    if (depth > kMaxJsonDepth) {
+      fail("json", line(), "objects nested deeper than " + std::to_string(kMaxJsonDepth));
+    }
     expect('{');
     DocTable table;
+    KeySet keys;
     skip_ws();
     if (i_ < s_.size() && s_[i_] == '}') {
       ++i_;
@@ -230,11 +242,11 @@ class JsonParser {
       skip_ws();
       if (i_ >= s_.size() || s_[i_] != '"') fail("json", line(), "expected string key");
       std::string key = parse_quoted(s_, i_, "json", line());
-      check_duplicate(table, key, "json", line());
+      check_duplicate(keys, key, "json", line());
       skip_ws();
       expect(':');
       skip_ws();
-      table.push_back({std::move(key), parse_value()});
+      table.push_back({std::move(key), parse_value(depth)});
       skip_ws();
       if (i_ < s_.size() && s_[i_] == ',') {
         ++i_;
@@ -245,10 +257,11 @@ class JsonParser {
     }
   }
 
-  [[nodiscard]] DocValue parse_value() {
+  /// A value inside an object at nesting `depth`.
+  [[nodiscard]] DocValue parse_value(int depth) {
     if (i_ >= s_.size()) fail("json", line(), "unexpected end of input");
     const char c = s_[i_];
-    if (c == '{') return DocValue(parse_object());
+    if (c == '{') return DocValue(parse_object(depth + 1));
     if (c == '"') return DocValue(parse_quoted(s_, i_, "json", line()));
     // Bare token: runs to the next delimiter.
     const std::size_t start = i_;
@@ -261,6 +274,8 @@ class JsonParser {
 
   std::string_view s_;
   std::size_t i_ = 0;
+  std::size_t line_ = 1;
+  std::size_t line_pos_ = 0;  // line_ counts the newlines before here
 };
 
 }  // namespace
@@ -327,6 +342,7 @@ DocTable parse_toml(std::string_view text) {
   // pointer into `root` never dangles across push_backs.
   std::vector<std::pair<std::string, DocTable>> sections;
   std::ptrdiff_t current = -1;  // -1 = top level, else index into sections
+  std::vector<KeySet> keys(1);  // keys[current + 1]: the keys of that table
 
   std::size_t line_no = 0;
   std::size_t pos = 0;
@@ -346,11 +362,10 @@ DocTable parse_toml(std::string_view text) {
       if (!rest.empty() && rest.front() != '#') fail("toml", line_no, "text after ']'");
       std::string name(trim(sv.substr(1, close - 1)));
       if (!valid_bare_key(name)) fail("toml", line_no, "bad table name '" + name + "'");
-      if (doc_find(root, name) != nullptr) fail("toml", line_no, "duplicate key '" + name + "'");
-      for (const auto& s : sections) {
-        if (s.first == name) fail("toml", line_no, "duplicate table '" + name + "'");
-      }
+      // Table names share the top level's key space.
+      check_duplicate(keys[0], name, "toml", line_no);
       sections.emplace_back(std::move(name), DocTable{});
+      keys.emplace_back();
       current = static_cast<std::ptrdiff_t>(sections.size()) - 1;
       continue;
     }
@@ -375,7 +390,7 @@ DocTable parse_toml(std::string_view text) {
 
     DocTable& target =
         current < 0 ? root : sections[static_cast<std::size_t>(current)].second;
-    check_duplicate(target, key, "toml", line_no);
+    check_duplicate(keys[static_cast<std::size_t>(current + 1)], key, "toml", line_no);
     target.push_back({std::move(key), std::move(parsed)});
   }
 

@@ -1,8 +1,8 @@
 // A tiny ordered key-value document tree with TOML and JSON text forms —
 // the carrier for file-defined scenarios (testbed/scenario_io). No external
 // dependency: both formats are implemented here as the subset the scenario
-// files need (scalars and one level of named tables for TOML; arbitrary
-// nesting for JSON), with shortest-round-trip number formatting via
+// files need (scalars and one level of named tables for TOML; nesting up to
+// 64 objects deep for JSON), with shortest-round-trip number formatting via
 // std::to_chars so every double survives text I/O bit-for-bit.
 //
 // Integers keep their signedness: unsigned values (seeds use the full 64-bit
@@ -92,8 +92,9 @@ struct DocEntry {
 [[nodiscard]] DocTable parse_toml(std::string_view text);
 
 // ---- JSON --------------------------------------------------------------------
-// One object, arbitrarily nested; pretty-printed with 2-space indent.
-// The parser accepts the superset with bare inf/nan number tokens.
+// One object, nested at most 64 objects deep (deeper input throws
+// std::invalid_argument with the line number); pretty-printed with 2-space
+// indent. The parser accepts the superset with bare inf/nan number tokens.
 [[nodiscard]] std::string to_json(const DocTable& root);
 [[nodiscard]] DocTable parse_json(std::string_view text);
 

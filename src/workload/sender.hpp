@@ -1,10 +1,11 @@
 // The Sender concept: the contract every controller in the zoo satisfies.
 //
 // Two transports implement it. TCP (tcp::TcpConnection) is ACK-clocked and
-// window-based. Every rate-based controller — TFRC, delay-AIMD, RCP — is
-// one paced transport, net::PacedConnection<Law>, over a small rate law
-// (tfrc::TfrcLaw, delay_aimd::DelayAimdLaw, rcp::RcpLaw): the skeleton owns
-// the lifecycle below, the law maps each receiver report to a new rate.
+// window-based. Every rate-based controller — TFRC, delay-AIMD, RCP and the
+// Claim-4 AIMD — is one paced transport, net::PacedConnection<Law>, over a
+// small rate law (tfrc::TfrcLaw, delay_aimd::DelayAimdLaw, rcp::RcpLaw,
+// tcp::AimdLaw): the skeleton owns the lifecycle below, the law maps each
+// receiver report to a new rate.
 //
 // A Sender is constructed ONCE per pool slot (handlers and pinned events are
 // permanent, the object is address-stable) and then cycled through

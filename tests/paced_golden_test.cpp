@@ -15,7 +15,8 @@
 //
 // The runs were first pinned before the paced connections were folded into
 // one skeleton; the state and masked constants digest those same runs
-// without the kernel's counts. A mismatch in one of them means a
+// without the kernel's counts. The AIMD cell was pinned when that law joined
+// the skeleton. A mismatch in one of them means a
 // controller's behaviour changed: that is a regression of every seeded
 // result in the repository, not a test to update. The counted and full
 // constants also pin how many events the kernel executed, so a change that
@@ -35,6 +36,7 @@
 #include "net/queue.hpp"
 #include "rcp/rcp_connection.hpp"
 #include "sim/simulator.hpp"
+#include "tcp/aimd_connection.hpp"
 #include "tcp/tcp_connection.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/result_store.hpp"
@@ -155,6 +157,11 @@ TEST(PacedGolden, DelayAimd) {
 TEST(PacedGolden, Rcp) {
   EXPECT_CELL(run_cell<rcp::RcpConnection>(true, rcp::RcpConfig{}, true), 0x1fe1bd7c76da519full,
               0xac76c8ae4367b259ull);
+}
+
+TEST(PacedGolden, Aimd) {
+  EXPECT_CELL(run_cell<tcp::AimdConnection>(true, tcp::AimdConfig{}, false), 0x109cfaa243e3a450ull,
+              0x8d4d6baa8542fba8ull);
 }
 
 TEST(PacedGolden, TcpControl) {

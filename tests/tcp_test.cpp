@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "model/aimd.hpp"
 #include "model/throughput_function.hpp"
 #include "net/dumbbell.hpp"
 #include "sim/simulator.hpp"
-#include "tcp/aimd_sender.hpp"
+#include "tcp/aimd_connection.hpp"
 #include "tcp/tcp_connection.hpp"
 
 namespace {
@@ -114,52 +115,53 @@ TEST(Tcp, Validation) {
   EXPECT_THROW(tcp::TcpConnection(net, id, -1.0), std::invalid_argument);
 }
 
-TEST(AimdSender, ConvergesToClosedFormLossRate) {
-  // One AIMD sender alone on a small-buffer link approximates the Claim-4
-  // deterministic model: p' ~ 2 alpha / ((1-beta^2) c^2).
+// The AIMD law runs on the same kind of path as the TFRC cells it is
+// compared with: a 1 Mb/s bottleneck (125 pkt/s) with a real base RTT.
+struct AimdWorld {
   sim::Simulator sim;
-  const double capacity_pps = 125.0;  // 1 Mb/s
-  net::Dumbbell net(sim, net::Queue::drop_tail(5), 1e6, 0.0005);
-  const int id = net.add_flow(0.0005, 0.001);
-  tcp::AimdSenderConfig cfg;
-  cfg.alpha = 50.0;  // fast sawtooth so many cycles fit
+  net::Dumbbell net;
+  tcp::AimdConnection conn;
+
+  AimdWorld(std::size_t buffer, double rtt_s, tcp::AimdConfig cfg)
+      : net(sim, net::Queue::drop_tail(buffer), 1e6, 0.001),
+        conn(net, net.add_flow(rtt_s / 2.0 - 0.001, rtt_s / 2.0), rtt_s, cfg) {}
+};
+
+TEST(AimdLaw, ConvergesToClosedFormLossRate) {
+  // One AIMD sender alone on a small-buffer link approximates the Claim-4
+  // deterministic model: p' ~ 2 alpha / ((1-beta^2) c^2), with alpha in
+  // packets/RTT per RTT and c in packets/RTT. The model holds for alpha << c.
+  tcp::AimdConfig cfg;
+  cfg.alpha = 0.5;  // bench_claim4_analysis's matched value
   cfg.beta = 0.5;
-  cfg.rtt_s = 0.1;
   cfg.initial_rate = 60.0;
-  tcp::AimdSender sender(net, id, cfg);
-  sender.start(0.0);
-  sim.run_until(400.0);
-  const double p_measured = sender.recorder().loss_event_rate();
-  // alpha in packets/RTT^2 with RTT 0.1 s: the model's alpha (per unit time
-  // normalized to RTT = 1) is alpha * rtt = 5 packets per RTT of rate gain...
-  // in rate units the closed form uses alpha per RTT: the sender gains
-  // alpha/rtt pps per rtt; express the model with RTT = 1 by rescaling:
-  // effective alpha = cfg.alpha * cfg.rtt = 5 pkt/RTT, capacity in pkt/RTT =
-  // capacity_pps * rtt = 12.5.
-  const model::AimdParams a{cfg.alpha * cfg.rtt_s, cfg.beta};
-  const double c_rtt = capacity_pps * cfg.rtt_s;
+  const double rtt_s = 0.1;
+  AimdWorld w(5, rtt_s, cfg);
+  w.conn.start(0.0);
+  w.sim.run_until(400.0);
+  const double p_measured = w.conn.recorder().loss_event_rate();
+  const model::AimdParams a{cfg.alpha, cfg.beta};
+  const double c_rtt = 125.0 * rtt_s;
   const double p_model = model::aimd_loss_event_rate(a, c_rtt);
-  EXPECT_GT(sender.recorder().events(), 50u);
+  EXPECT_GT(w.conn.recorder().events(), 50u);
   EXPECT_GT(p_measured, 0.3 * p_model);
   EXPECT_LT(p_measured, 3.0 * p_model);
 }
 
-TEST(AimdSender, RateOscillatesBetweenBetaCAndC) {
-  sim::Simulator sim;
-  net::Dumbbell net(sim, net::Queue::drop_tail(3), 1e6, 0.0005);
-  const int id = net.add_flow(0.0005, 0.001);
-  tcp::AimdSenderConfig cfg;
+TEST(AimdLaw, RateOscillatesBetweenBetaCAndC) {
+  tcp::AimdConfig cfg;
   cfg.alpha = 1.0;  // gentle slope so the detection lag's overshoot is small
   cfg.beta = 0.5;
-  cfg.rtt_s = 0.05;
   cfg.initial_rate = 50.0;
-  tcp::AimdSender sender(net, id, cfg);
-  sender.start(0.0);
-  sim.run_until(300.0);
+  AimdWorld w(3, 0.05, cfg);
+  w.conn.start(0.0);
+  w.sim.run_until(300.0);
   // After warm-up the rate should live in roughly [beta*c, ~c+slack].
-  EXPECT_GT(sender.rate(), 0.3 * 125.0);
-  EXPECT_LT(sender.rate(), 2.0 * 125.0);
-  EXPECT_THROW(tcp::AimdSender(net, id, tcp::AimdSenderConfig{-1.0, 0.5, 1.0, 1.0, 1000.0}),
+  EXPECT_GT(w.conn.target_rate().pps(), 0.3 * 125.0);
+  EXPECT_LT(w.conn.target_rate().pps(), 2.0 * 125.0);
+  EXPECT_THROW(tcp::AimdConnection(w.net, 0, 0.05, tcp::AimdConfig{-1.0, 0.5, 1.0, 1000.0}),
+               std::invalid_argument);
+  EXPECT_THROW(tcp::AimdConnection(w.net, 0, 0.05, tcp::AimdConfig{1.0, NAN, 1.0, 1000.0}),
                std::invalid_argument);
 }
 

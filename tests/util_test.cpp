@@ -299,11 +299,43 @@ TEST(Doc, TomlAndJsonRoundTripADocumentExactly) {
   EXPECT_TRUE(parse_json(to_json(doc)) == doc);
 }
 
+TEST(Doc, NegativeZeroIntegerReadsAsTheZeroItIsWrittenAs) {
+  const DocTable doc = parse_json("{\"z\": -0}");
+  ASSERT_NE(doc_find(doc, "z")->if_u64(), nullptr);
+  EXPECT_TRUE(parse_json(to_json(doc)) == doc);
+  EXPECT_TRUE(parse_toml("z = -0\n") == parse_toml(to_toml(parse_toml("z = -0\n"))));
+}
+
 TEST(Doc, JsonRejectsMalformedInput) {
   EXPECT_THROW((void)parse_json("{"), std::invalid_argument);
   EXPECT_THROW((void)parse_json("{\"a\": }"), std::invalid_argument);
   EXPECT_THROW((void)parse_json("{\"a\": 1} trailing"), std::invalid_argument);
   EXPECT_THROW((void)parse_json("{\"a\": 1, \"a\": 2}"), std::invalid_argument);
+  try {
+    (void)parse_json("{\n\"a\": 1,\n\"b\": {\"c\": 2},\n\"a\": 3\n}");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Doc, JsonRejectsNestingDeeperThanTheCap) {
+  const auto nested = [](int depth) {
+    std::string s;
+    for (int i = 0; i < depth; ++i) s += "{\"a\":";
+    s += "1";
+    s.append(static_cast<std::size_t>(depth), '}');
+    return s;
+  };
+  EXPECT_NO_THROW((void)parse_json(nested(64)));
+  EXPECT_THROW((void)parse_json(nested(65)), std::invalid_argument);
+  // A 100,000-deep bomb (about 600 KB) is rejected, not a stack overflow.
+  try {
+    (void)parse_json(nested(100000));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Doc, TomlNestedTablesBeyondOneLevelThrow) {
