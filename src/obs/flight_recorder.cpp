@@ -69,13 +69,13 @@ bool FlightRecorder::dump_to_text(const std::string& ring_path, const std::strin
   if (!out) return false;
   out << "flight-recorder v" << hdr.version << " capacity=" << hdr.capacity
       << " executed=" << hdr.cursor << " kept=" << kept << "\n";
-  static constexpr const char* kSrc[4] = {"heap", "wheel", "pinned-heap", "pinned-wheel"};
+  static constexpr const char* kSrc[2] = {"slab", "pinned"};
   char line[128];
   for (std::uint64_t i = 0; i < kept; ++i) {
     const std::uint64_t seq = hdr.cursor - kept + i;  // global event index
     const sim::KernelRing::Record& r = recs[static_cast<std::size_t>(seq & (hdr.capacity - 1))];
     std::snprintf(line, sizeof(line), "#%llu t=%.9f slot=0x%08x src=%s\n",
-                  static_cast<unsigned long long>(seq), r.at, r.slot, kSrc[r.src & 3]);
+                  static_cast<unsigned long long>(seq), r.at, r.slot, kSrc[r.src & 1]);
     out << line;
   }
   out.flush();

@@ -55,9 +55,10 @@ class FlightRecorder {
   /// Post-mortem: reads `ring_path` (typically after the writing process
   /// died) and renders the tail as text into `out_path`. The dump starts
   /// with a "flight-recorder v1" banner, then one line per record, oldest
-  /// first: `#<seq> t=<sim time> slot=0x<hex> src=<heap|wheel|pinned-heap|
-  /// pinned-wheel>`. Returns false if the file is missing, truncated, or
-  /// fails the magic/version check.
+  /// first: `#<seq> t=<sim time> slot=0x<hex> src=<slab|pinned>`, where the
+  /// slot is a slab index for a slab event (popped from the heap) and a pin
+  /// id for a pinned one (popped from the wheel). Returns false if the file
+  /// is missing, truncated, or fails the magic/version check.
   static bool dump_to_text(const std::string& ring_path, const std::string& out_path);
 
  private:

@@ -131,16 +131,12 @@ void Simulator::run_until(Time horizon) {
     const std::span<const QueuedEvent> ahead = wheel_.ready();
     const QueuedEvent* nw = ahead.empty() ? nullptr : &ahead.front();
     const Entry* nh = heap_.empty() ? nullptr : &heap_.front();
-    if (const Entry* nx = (nw != nullptr && (nh == nullptr || earlier(*nw, *nh))) ? nw : nh) {
-      const std::uint32_t next = nx->slot;
-      if ((next & kPinnedBit) == 0) {
-        slab->prefetch(next);
-      }
+    if (nw != nullptr && (nh == nullptr || earlier(*nw, *nh))) {
 #if defined(__GNUC__) || defined(__clang__)
-      else {
-        __builtin_prefetch(&pinned_[next & ~kPinnedBit]);
-      }
+      __builtin_prefetch(&pinned_[nw->slot]);
 #endif
+    } else if (nh != nullptr) {
+      slab->prefetch(nh->slot);
     }
     // The front run holds only pinned entries, in pop order: with more
     // callbacks and targets than the caches hold, start their lines in a few
@@ -149,20 +145,20 @@ void Simulator::run_until(Time horizon) {
     if (lookahead_) {
 #if defined(__GNUC__) || defined(__clang__)
       if (ahead.size() > 2 * kLookahead) {
-        __builtin_prefetch(&pinned_[ahead[2 * kLookahead].slot & ~kPinnedBit]);
+        __builtin_prefetch(&pinned_[ahead[2 * kLookahead].slot]);
       }
 #endif
       if (ahead.size() > kLookahead) {
-        pinned_[ahead[kLookahead].slot & ~kPinnedBit].prefetch_target();
+        pinned_[ahead[kLookahead].slot].prefetch_target();
       }
     }
-    if ((e.slot & kPinnedBit) != 0) {
+    if (from_wheel) {
       // Pinned fast path: no liveness check, no retire, no callback move —
       // invoke in place. Always live by construction.
-      record_executed(e.at, e.slot, static_cast<std::uint8_t>(2u | (from_wheel ? 1u : 0u)));
+      record_executed(e.at, e.slot, 1u);
       now_ = e.at;
       ++executed_;
-      pinned_[e.slot & ~kPinnedBit]();
+      pinned_[e.slot]();
       continue;
     }
     const bool live = slab->slot_live(e.slot);
@@ -174,7 +170,7 @@ void Simulator::run_until(Time horizon) {
     EventFn fn = slab->retire(e.slot);
     if (!live) continue;  // cancelled
     assert(e.at >= now_);
-    record_executed(e.at, e.slot, from_wheel ? 1u : 0u);
+    record_executed(e.at, e.slot, 0u);
     now_ = e.at;
     ++executed_;
     fn();

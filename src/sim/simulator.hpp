@@ -20,10 +20,11 @@
 //     working set in two cache lines — while the callbacks themselves sit
 //     still inside the slab and are moved exactly once, out of the slot,
 //     when their entry is popped.
-//   - Pinned callbacks (registered once, scheduled as bare entries) go to
-//     a hierarchical timing wheel once it has calibrated (timing_wheel.hpp);
-//     its tick follows the measured event density, so each refill loads a
-//     sorted front run of several events. While that run drains, the
+//   - One queue per event kind: pinned callbacks (registered once,
+//     scheduled as bare entries) always go to a hierarchical timing wheel
+//     (timing_wheel.hpp), slab events always to the heap. The wheel's tick
+//     follows the measured event density, so each refill loads a sorted
+//     front run of several events. While that run drains, the
 //     callback and the object its first word points to are prefetched a few
 //     events ahead — in simulators with more pinned callbacks than the
 //     caches hold (kLookaheadPins), where those loads miss.
@@ -333,8 +334,8 @@ class EventHandle {
 struct KernelRing {
   struct Record {
     double at = 0.0;        // sim time of the executed event
-    std::uint32_t slot = 0; // raw heap-entry slot (pinned bit included)
-    std::uint8_t src = 0;   // bit 0: popped from wheel; bit 1: pinned path
+    std::uint32_t slot = 0; // slab index, or pin() id when src is 1
+    std::uint8_t src = 0;   // 0: slab event (heap); 1: pinned event (wheel)
     std::uint8_t pad[3] = {};
   };
   static_assert(sizeof(Record) == 16);
@@ -344,8 +345,8 @@ struct KernelRing {
   std::uint64_t* cursor = nullptr; // total records ever written (monotone)
 };
 
-/// The event-driven simulator: a clock plus a 4-ary min-heap of POD entries
-/// whose callbacks live in the event slab.
+/// The event-driven simulator: a clock, a 4-ary min-heap of slab entries
+/// (callbacks in the event slab) and a timing wheel of pinned entries.
 class Simulator {
  public:
   Simulator() : slab_(new EventSlab) { reserve(kDefaultReserve); }
@@ -377,8 +378,7 @@ class Simulator {
   // overhead when the callback never changes and is never cancelled. A
   // pinned event registers the callback once; scheduling it afterwards is a
   // bare entry push (24 bytes, zero slab traffic) — an O(1) timing-wheel
-  // bucket append once the wheel has calibrated, a heap push before — and
-  // firing invokes it in place. Pinned events cannot be cancelled
+  // bucket append — and firing invokes it in place. Pinned events cannot be cancelled
   // individually — guard with a component-side flag, as the protocols'
   // `running_` already does. Execution order remains the global
   // (time, insertion-seq) order shared with slab events: wheel and heap pops
@@ -391,7 +391,7 @@ class Simulator {
   PinnedEvent pin(EventFn fn) {
     pinned_.push_back(std::move(fn));
     lookahead_ = pinned_.size() > kLookaheadPins;
-    return static_cast<PinnedEvent>(pinned_.size() - 1) | kPinnedBit;
+    return static_cast<PinnedEvent>(pinned_.size() - 1);
   }
 
   /// Schedules a pinned callback after `delay` (>= 0).
@@ -400,21 +400,14 @@ class Simulator {
     schedule_pinned_at(now_ + delay, ev);
   }
 
-  /// Schedules a pinned callback at absolute time `at` (>= now()). Once the
-  /// wheel has calibrated its tick from the first pinned delays this is an
-  /// O(1) bucket append; until then (and for all slab events, always) entries
-  /// go to the heap, so calibration can never perturb execution order.
+  /// Schedules a pinned callback at absolute time `at` (>= now()): an O(1)
+  /// append to the timing wheel, which holds pinned entries and nothing
+  /// else (slab events always go to the heap).
   void schedule_pinned_at(Time at, PinnedEvent ev) {
     if (at < now_) throw_past_time();
-    assert((ev & kPinnedBit) != 0 && "not a pin() id");
+    assert(ev < pinned_.size() && "not a pin() id");
     at += 0.0;  // normalize -0.0, as in schedule_impl
-    if (wheel_.active()) {
-      wheel_.push(Entry{at, next_seq_++, ev});
-      return;
-    }
-    const Time delay = at - now_;
-    if (delay > 0) wheel_.observe(delay, now_);
-    push_entry(Entry{at, next_seq_++, ev});
+    wheel_.push(Entry{at, next_seq_++, ev});
   }
 
   /// Runs events until the queue drains or the clock passes `horizon`.
@@ -442,10 +435,9 @@ class Simulator {
     return heap_.size() + wheel_.size();
   }
 
-  /// Kernel telemetry: how many executed events were popped from the timing
-  /// wheel vs the 4-ary heap (a wheel that never activates pops everything
-  /// from the heap; a saturated packet path should pop almost everything
-  /// from the wheel).
+  /// Kernel telemetry: how many entries were popped from the timing wheel
+  /// vs the 4-ary heap — exactly the pinned pops and the slab pops
+  /// (cancelled slab events included).
   [[nodiscard]] std::uint64_t wheel_pops() const noexcept { return wheel_pops_; }
   [[nodiscard]] std::uint64_t heap_pops() const noexcept { return heap_pops_; }
 
@@ -514,10 +506,6 @@ class Simulator {
   /// ahead along the wheel's front run: ~8k 64-byte callbacks (512 KiB) plus
   /// the components they point into no longer stay cache-resident.
   static constexpr std::size_t kLookaheadPins = 8192;
-  /// Tags a heap entry's slot as a pinned-callback index. Distinct from
-  /// EventSlab's kWideBit (the top bit): a pinned entry never reaches the
-  /// slab, and slab indices stay far below 2^30.
-  static constexpr std::uint32_t kPinnedBit = 0x4000'0000u;
 
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
@@ -525,9 +513,9 @@ class Simulator {
   std::uint64_t wheel_pops_ = 0;
   std::uint64_t heap_pops_ = 0;
   EventSlab* slab_;  // intrusively refcounted; see EventSlab::retain/release
-  std::vector<Entry> heap_;  // 4-ary min-heap: children of i at 4i+1 .. 4i+4
+  std::vector<Entry> heap_;  // slab entries, 4-ary min-heap: children of i at 4i+1 .. 4i+4
   std::deque<EventFn> pinned_;  // deque: pin() during a run never relocates
-  TimingWheel wheel_;  // pinned entries after calibration; merged at pop
+  TimingWheel wheel_;  // pinned entries; merged with the heap at pop
   bool lookahead_ = false;  // pinned_.size() > kLookaheadPins
   KernelRing ring_;   // null records (the default) = recording disabled
 };

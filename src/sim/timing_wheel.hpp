@@ -28,17 +28,15 @@
 // PENDING events — never with each bucket's past peak — and cascades,
 // rehomes and re-ticks relink nodes instead of copying them.
 //
-// Tick: calibrated at activation from the first 64 positive pinned delays
-// (dt = p25/16, clamped): until then pinned entries go to the heap, which
-// fixes the heap/wheel routing. After that the tick follows the event
-// density, in the manner of Brown's calendar queue (CACM 1988): once every
-// 2^14 wheel events, at a refill boundary, a mean front-run length outside
-// [2, 64] re-ticks the wheel to the window's event rate times a target run of
-// 8 events, and every pending node is relinked under the new tick. The
-// inputs are simulated times and counts, so a run stays deterministic. And
-// because the tick mapping only needs to be MONOTONE in the deadline — equal
-// times share a tick, a tick's events are key-sorted on load — no tick can
-// ever perturb execution order, only bucket occupancy.
+// Tick: the wheel starts at a constant kStartTick and then follows the
+// event density, in the manner of Brown's calendar queue (CACM 1988): once
+// every 2^14 wheel events, at a refill boundary, a mean front-run length
+// outside [2, 64] re-ticks the wheel to the window's event rate times a
+// target run of 8 events, and every pending node is relinked under the new
+// tick. The inputs are simulated times and counts, so a run stays
+// deterministic. And because the tick mapping only needs to be MONOTONE in
+// the deadline — equal times share a tick, a tick's events are key-sorted on
+// load — no tick can ever perturb execution order, only bucket occupancy.
 #pragma once
 
 #include <algorithm>
@@ -57,8 +55,8 @@ namespace ebrc::sim {
 using Time = double;
 
 /// Queue entries shared by the wheel and the 4-ary heap: 24-byte trivially
-/// copyable PODs. `slot` is either an event-slab index or a pinned-callback
-/// id (tagged with the simulator's pinned bit); the queues never look inside.
+/// copyable PODs. `slot` is an event-slab index in the heap and a
+/// pinned-callback id in the wheel; the queues never look inside.
 struct QueuedEvent {
   Time at;
   std::uint64_t seq;   // FIFO tie-break for equal timestamps
@@ -101,7 +99,9 @@ class TimingWheel {
   static constexpr std::uint64_t kBuckets = 1ull << kBucketBits;  // per level
   static constexpr int kLevels = 3;
   static constexpr std::uint64_t kSpanTicks = 1ull << (kLevels * kBucketBits);
-  static constexpr int kCalibrationSamples = 64;
+  /// Tick a new wheel starts with; the first re-tick window replaces it with
+  /// one measured from the workload.
+  static constexpr double kStartTick = 1e-6;
   /// Density re-tick: wheel events per measurement window, the band of mean
   /// front-run lengths left alone, and the run length a re-tick aims for.
   static constexpr std::uint64_t kRetickWindow = 1ull << 14;
@@ -109,17 +109,20 @@ class TimingWheel {
   static constexpr double kMaxRun = 64.0;
   static constexpr double kTargetRun = 8.0;
 
-  TimingWheel() {
+  /// A wheel at time 0 with tick `dt` (tests pick one; the simulator starts
+  /// every wheel at kStartTick).
+  explicit TimingWheel(double dt = kStartTick) {
     for (auto& lvl : heads_) std::fill(std::begin(lvl), std::end(lvl), kNil);
+    set_tick(dt);
+    // The re-tick keeps the mean run within [kMinRun, kMaxRun], so a run
+    // buffer of a few times kMaxRun covers the runs of any steady workload
+    // and the front run stops allocating.
+    run_.reserve(kRunSeed);
   }
   TimingWheel(const TimingWheel&) = delete;
   TimingWheel& operator=(const TimingWheel&) = delete;
 
-  /// True once the tick granularity has been calibrated; until then the
-  /// simulator keeps routing pinned entries to the heap.
-  [[nodiscard]] bool active() const noexcept { return active_; }
-
-  /// Current tick width in seconds (0 until active; moves on re-ticks).
+  /// Current tick width in seconds (moves on re-ticks).
   [[nodiscard]] double granularity() const noexcept { return dt_; }
 
   /// Front runs formed so far (tests: wheel pops / loads is the mean run
@@ -127,40 +130,14 @@ class TimingWheel {
   /// on the tick policy, and results must not.
   [[nodiscard]] std::uint64_t loads() const noexcept { return loads_; }
 
-  /// Feeds one positive pinned-delay sample; the 64th activates the wheel at
-  /// dt = p25/16, so a typical delay spans ~16 ticks and same-tick pileups
-  /// stay shallow. Returns true when this call activated the wheel.
-  bool observe(Time delay, Time now) {
-    assert(!active_ && delay > 0);
-    samples_[sample_count_++] = delay;
-    if (sample_count_ < kCalibrationSamples) return false;
-    std::sort(samples_, samples_ + kCalibrationSamples);
-    activate(std::clamp(samples_[kCalibrationSamples / 4] / 16.0, 1e-9, 1e6), now);
-    return true;
-  }
-
-  /// Activates immediately with an explicit granularity (benchmarks and the
-  /// wheel's own unit tests; production goes through observe()).
-  void activate(double dt, Time now) {
-    set_tick(dt);
-    pos_ = tick_of(now);
-    window_t0_ = now;
-    active_ = true;
-    // The re-tick keeps the mean run within [kMinRun, kMaxRun], so a run
-    // buffer of a few times kMaxRun covers the runs of any steady workload
-    // and the front run stops allocating once the wheel is active.
-    run_.reserve(kRunSeed);
-  }
-
   /// Number of events currently queued (front run + buckets + overflow).
   [[nodiscard]] std::size_t size() const noexcept {
     return pending_ + (run_.size() - run_head_);
   }
 
-  /// O(1) append. Requires active(); `e.at` must be >= the time of the last
-  /// event popped (the simulator's clock guarantees it).
+  /// O(1) append. `e.at` must be >= 0 and >= the time of the last event
+  /// popped (the simulator's clock guarantees both).
   void push(const QueuedEvent& e) {
-    assert(active_);
     const std::uint64_t t = tick_of(e.at);
     if (t <= pos_) {
       // The tick is already drained into the front run: sorted-insert at or
@@ -442,9 +419,6 @@ class TimingWheel {
   std::uint64_t window_events_ = 0;  // re-tick window: wheel events drained
   std::uint64_t window_runs_ = 0;    // re-tick window: runs drained
   Time window_t0_ = 0.0;             // re-tick window: simulated start
-  bool active_ = false;
-  int sample_count_ = 0;
-  double samples_[kCalibrationSamples] = {};
   std::uint64_t occ_[kLevels][kWords] = {};
   std::uint32_t heads_[kLevels][kBuckets];  // bucket lists (kNil = empty)
   std::uint32_t overflow_ = kNil;           // deadlines beyond the 2^24-tick span

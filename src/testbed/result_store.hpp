@@ -52,7 +52,7 @@ namespace ebrc::testbed {
 /// alters sample paths, metric definitions or any cached value (new RNG,
 /// packet-path reorder, metric redefinition, fewer kernel events in the
 /// kernel_* obs, ...). Result schema changes are salted on their own.
-inline constexpr std::uint64_t kBehaviorVersion = 8;
+inline constexpr std::uint64_t kBehaviorVersion = 9;
 
 /// FNV-1a over the result schema as visit_result walks it: each field's wire
 /// kind and name in order, list elements included.

@@ -37,8 +37,8 @@ using ebrc::sim::TimingWheel;
 
 // Layout tripwires: queue entries are the PODs both structures shuffle, and
 // the wheel itself must stay a flat ~4 KB of list heads (768 32-bit bucket
-// heads + bitmaps + calibration samples), never grow per-event state — the
-// events live in its node pool.
+// heads + bitmaps), never grow per-event state — the events live in its node
+// pool.
 static_assert(sizeof(QueuedEvent) == 24);
 static_assert(std::is_trivially_copyable_v<QueuedEvent>);
 static_assert(sizeof(TimingWheel) < 5 * 1024);
@@ -53,6 +53,7 @@ std::uint64_t splitmix(std::uint64_t& s) {
 // A wheel driven in lockstep with an exact std::multiset model: every pop
 // must return the model's minimum, bit for bit.
 struct Checked {
+  explicit Checked(double dt) : w(dt) {}
   TimingWheel w;
   std::multiset<QueuedEvent, EarlierCompare> model;
   std::uint64_t seq = 0;
@@ -99,8 +100,7 @@ struct Phase {
 // Runs the phases in order against the model and returns the wheel's
 // granularity at the end of each.
 std::vector<double> run_phases(double dt, const std::vector<Phase>& phases, std::uint64_t seed) {
-  Checked c;
-  c.w.activate(dt, 0.0);
+  Checked c(dt);
   std::uint64_t rng = seed;
   std::vector<double> ticks;
   for (const Phase& ph : phases) {
@@ -172,8 +172,7 @@ TEST(TimingWheel, RetickWithOverflowResidentsAndSameInstantRebookings) {
   // share the new tick with the last pop and go straight into the run; the
   // same-instant re-booking made while that run drains joins it in key
   // order, and the overflow resident still pops last.
-  Checked c;
-  c.w.activate(1.0, 0.0);
+  Checked c(1.0);
   constexpr double kFar = static_cast<double>(TimingWheel::kSpanTicks) + 3.0;
   c.push(kFar);
   constexpr auto kWindow = static_cast<double>(TimingWheel::kRetickWindow);
@@ -201,9 +200,7 @@ TEST(TimingWheel, RetickWithOverflowResidentsAndSameInstantRebookings) {
 TEST(TimingWheel, WindowStartBoundariesDrainInOrder) {
   // The exact ticks where cascade bookkeeping is easiest to get wrong:
   // window starts and their neighbours at every level, plus span crossings.
-  TimingWheel w;
-  const double dt = 1.0;  // 1 tick == 1 second: ticks are times
-  w.activate(dt, 0.0);
+  TimingWheel w(1.0);  // 1 tick == 1 second: ticks are times
   const std::uint64_t marks[] = {0,       1,       255,     256,     257,
                                  65535,   65536,   65537,   1u << 24, (1u << 24) + 1,
                                  (1u << 24) - 1, 3u << 24, (3u << 24) + 255};
@@ -234,8 +231,7 @@ TEST(TimingWheel, WindowStartBoundariesDrainInOrder) {
 }
 
 TEST(TimingWheel, SameInstantRebookingJoinsTheCurrentTick) {
-  TimingWheel w;
-  w.activate(1e-3, 0.0);
+  TimingWheel w(1e-3);
   w.push(QueuedEvent{0.5, 0, 7u});
   const QueuedEvent* p = w.peek();
   ASSERT_NE(p, nullptr);
@@ -254,7 +250,9 @@ TEST(TimingWheel, SameInstantRebookingJoinsTheCurrentTick) {
 
 // -------- simulator-level integration ---------------------------------------
 
-TEST(TimingWheel, SimulatorCalibratesThenRoutesPinnedThroughWheel) {
+TEST(TimingWheel, SimulatorPopsPinnedEventsOnlyFromTheWheel) {
+  // One queue per event kind: every pinned entry, the first one included,
+  // goes to the wheel, so a pinned-only run never touches the heap.
   ebrc::sim::Simulator sim;
   int fires = 0;
   ebrc::sim::Simulator::PinnedEvent ev{};
@@ -264,11 +262,8 @@ TEST(TimingWheel, SimulatorCalibratesThenRoutesPinnedThroughWheel) {
   sim.schedule_pinned(1e-3, ev);
   sim.run();
   EXPECT_EQ(fires, 200);
-  EXPECT_TRUE(sim.wheel().active());
-  // The first 64 positive delays calibrate (and ride the heap); the rest pop
-  // from the wheel.
-  EXPECT_GT(sim.wheel_pops(), 100u);
-  EXPECT_GE(sim.heap_pops(), 64u);
+  EXPECT_EQ(sim.wheel_pops(), 200u);
+  EXPECT_EQ(sim.heap_pops(), 0u);
   EXPECT_NEAR(sim.now(), 0.2, 1e-12);
 }
 
@@ -277,15 +272,7 @@ TEST(TimingWheel, NegativeZeroDeadlineNormalizedOnWheelPath) {
   std::vector<int> order;
   const auto ev = sim.pin([&] { order.push_back(1); });
   const auto tick = sim.pin([&] { order.push_back(0); });
-  // Activate the wheel with positive-delay schedules first.
-  int warm = 0;
-  ebrc::sim::Simulator::PinnedEvent warmup{};
-  warmup = sim.pin([&] {
-    if (++warm < 70) sim.schedule_pinned(1e-4, warmup);
-  });
-  sim.schedule_pinned(1e-4, warmup);
-  sim.run();
-  ASSERT_TRUE(sim.wheel().active());
+  sim.run_until(0.25);
   // now() > 0; schedule two pinned events at the same instant, the second
   // via a -0.0 delay: -0.0 must order exactly like +0.0 (seq breaks the tie).
   sim.schedule_pinned(0.0, tick);
@@ -297,14 +284,6 @@ TEST(TimingWheel, NegativeZeroDeadlineNormalizedOnWheelPath) {
 TEST(TimingWheel, EqualTimeWheelAndHeapEventsInterleaveBySeq) {
   ebrc::sim::Simulator sim;
   std::vector<int> order;
-  int warm = 0;
-  ebrc::sim::Simulator::PinnedEvent warmup{};
-  warmup = sim.pin([&] {
-    if (++warm < 70) sim.schedule_pinned(1e-4, warmup);
-  });
-  sim.schedule_pinned(1e-4, warmup);
-  sim.run();
-  ASSERT_TRUE(sim.wheel().active());
   const auto pinned = sim.pin([&] { order.push_back(100); });
   // Alternate slab (heap) and pinned (wheel) events at one instant: the
   // merged pop must interleave them in insertion order.
@@ -319,14 +298,6 @@ TEST(TimingWheel, EqualTimeWheelAndHeapEventsInterleaveBySeq) {
 
 TEST(TimingWheel, QueueSizeSpansBothStructures) {
   ebrc::sim::Simulator sim;
-  int warm = 0;
-  ebrc::sim::Simulator::PinnedEvent warmup{};
-  warmup = sim.pin([&] {
-    if (++warm < 70) sim.schedule_pinned(1e-4, warmup);
-  });
-  sim.schedule_pinned(1e-4, warmup);
-  sim.run();
-  ASSERT_TRUE(sim.wheel().active());
   const auto pinned = sim.pin([] {});
   sim.schedule_pinned(1.0, pinned);   // wheel
   sim.schedule_pinned(2000.0, pinned);  // wheel (far future)
@@ -340,11 +311,11 @@ TEST(TimingWheel, QueueSizeSpansBothStructures) {
 
 // -------- tripwires: the tick follows real workloads' density ---------------
 //
-// The calibrated tick comes from the first 64 pinned delays, which can be far
-// finer than the gaps between wheel events once the workload settles (a
-// churn ramp's arrival gaps, a static cell's pacing start-up); front runs
-// then hold one event each and there is nothing to prefetch along. After
-// warm-up the re-tick must keep the mean run at 2 or more.
+// The wheel starts at a constant 1 us tick, far finer than the gaps between
+// wheel events once most workloads settle (a static cell's pacing and pipe
+// hops), and a churn ramp's dense arrivals pull the tick finer still; front
+// runs then hold one event each and there is nothing to prefetch along.
+// After warm-up the density re-tick must keep the mean run at 2 or more.
 
 double mean_run_over(ebrc::sim::Simulator& sim, double until) {
   const std::uint64_t pops0 = sim.wheel_pops();
@@ -377,14 +348,13 @@ TEST(TimingWheel, TripwireStaticRedCellFrontRunsHoldSeveralEvents) {
     tcps.emplace_back(net, id, sc.base_rtt_s, sc.tcp).start(rng.uniform(0.0, 1.0));
   }
   sim.run_until(20.0);  // warm-up
-  ASSERT_TRUE(sim.wheel().active());
   EXPECT_GE(mean_run_over(sim, 60.0), 2.0) << "tick " << sim.wheel().granularity() << " s";
 }
 
 TEST(TimingWheel, TripwireChurnPoolFrontRunsHoldSeveralEvents) {
   // A small saturated churn pool filled by raised arrivals in a 0.2 s ramp,
-  // whose arrivals then stop, as churn_100k's cell is built: the calibration
-  // samples are ramp arrival gaps, far finer than the window's event gaps.
+  // whose arrivals then stop, as churn_100k's cell is built: the ramp's
+  // arrival gaps are far finer than the window's event gaps.
   using namespace ebrc;
   constexpr int kSlots = 2000;
   sim::Simulator sim;
@@ -400,7 +370,6 @@ TEST(TimingWheel, TripwireChurnPoolFrontRunsHoldSeveralEvents) {
   sim.run_until(0.2);
   mgr.stop();
   sim.run_until(2.0);  // warm-up
-  ASSERT_TRUE(sim.wheel().active());
   EXPECT_GE(mean_run_over(sim, 10.0), 2.0) << "tick " << sim.wheel().granularity() << " s";
 }
 
