@@ -167,14 +167,14 @@ Scenario churn_batch(const std::string& controller) {
   } while (0)
 
 TEST(AggregateGolden, StaticNs2Batch) {
-  EXPECT_AGGREGATE(short_ns2(0), 0x93afc7ccef99ab45ull, 0x3217c1fe69f83b38ull);
+  EXPECT_AGGREGATE(short_ns2(0), 0x93afc7ccef99ab45ull, 0xf0027f018deadaeaull);
 }
 
 TEST(AggregateGolden, ChurnBatchPerController) {
-  EXPECT_AGGREGATE(churn_batch("tfrc"), 0xbea890cb4e28125full, 0xe38b917a127e20cfull);
-  EXPECT_AGGREGATE(churn_batch("tcp"), 0xf09d7052029454a3ull, 0x645d61acc1c3bc52ull);
-  EXPECT_AGGREGATE(churn_batch("delay_aimd"), 0x41ce72511bae795eull, 0xc674a86b782ee604ull);
-  EXPECT_AGGREGATE(churn_batch("rcp"), 0x971464d299cee286ull, 0x172094561806ee76ull);
+  EXPECT_AGGREGATE(churn_batch("tfrc"), 0xbea890cb4e28125full, 0x329458ace3542966ull);
+  EXPECT_AGGREGATE(churn_batch("tcp"), 0xf09d7052029454a3ull, 0xd5b8201f574cde2bull);
+  EXPECT_AGGREGATE(churn_batch("delay_aimd"), 0x41ce72511bae795eull, 0xbaac9c771794d330ull);
+  EXPECT_AGGREGATE(churn_batch("rcp"), 0x971464d299cee286ull, 0x2bb8831ab0cded12ull);
 }
 
 TEST(ReplicatePaired, SharesSeedsWithinPairsDistinctAcrossReps) {

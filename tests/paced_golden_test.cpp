@@ -209,17 +209,17 @@ testbed::Scenario churn_cell(const std::string& controller) {
 }
 
 TEST(PacedGolden, ChurnCellPerController) {
-  EXPECT_RESULT(churn_cell("tfrc"), 0xb24f7178c99e4925ull, 0x06f722f3649c4e6cull);
-  EXPECT_RESULT(churn_cell("delay_aimd"), 0xdcafba1d8398bc93ull, 0xfe396c1f4c154206ull);
-  EXPECT_RESULT(churn_cell("rcp"), 0x5e89f655153c4615ull, 0x5822834c2d14f656ull);
-  EXPECT_RESULT(churn_cell("tcp"), 0x7bf3b8e7a17c937dull, 0xb84f1d84b5d95dfeull);
+  EXPECT_RESULT(churn_cell("tfrc"), 0xb24f7178c99e4925ull, 0xe3f2c80d0b55f54bull);
+  EXPECT_RESULT(churn_cell("delay_aimd"), 0xdcafba1d8398bc93ull, 0xd94cde3a11fbaf2aull);
+  EXPECT_RESULT(churn_cell("rcp"), 0x5e89f655153c4615ull, 0xbffbf2fd2ff506b3ull);
+  EXPECT_RESULT(churn_cell("tcp"), 0x7bf3b8e7a17c937dull, 0x428fb69a20b4b496ull);
 }
 
 TEST(PacedGolden, StaticNs2Cell) {
   auto s = testbed::ns2_scenario(/*n_tfrc=*/4, /*n_tcp=*/4, /*history_length=*/8, /*seed=*/5);
   s.duration_s = 20.0;
   s.warmup_s = 4.0;
-  EXPECT_RESULT(s, 0x68786268e7c881b3ull, 0x44d2992634a5caefull);
+  EXPECT_RESULT(s, 0x68786268e7c881b3ull, 0x438302d397186a12ull);
 }
 
 }  // namespace
