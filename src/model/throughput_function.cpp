@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "model/solvers.hpp"
+
 namespace ebrc::model {
 namespace {
 
@@ -182,6 +184,16 @@ const ThroughputFunction& unit_throughput_function(const std::string& name) {
     case Family::kPftkSimplified: return simplified_unit;
   }
   throw std::logic_error("unit_throughput_function: unhandled family");
+}
+
+double interval_for_rate(const ThroughputFunction& f, double rate) {
+  if (!(rate > 0)) throw std::invalid_argument("interval_for_rate: rate must be > 0");
+  double lo = 1.0;
+  double hi = 2.0;
+  // h is increasing in x; widen the bracket geometrically.
+  while (f.rate_from_interval(lo) > rate && lo > 1e-9) lo *= 0.5;
+  while (f.rate_from_interval(hi) < rate && hi < 1e12) hi *= 2.0;
+  return bisect([&](double x) { return f.rate_from_interval(x) - rate; }, lo, hi, 1e-9 * hi);
 }
 
 }  // namespace ebrc::model

@@ -135,4 +135,10 @@ class PftkSimplified final : public ThroughputFunction {
 /// so every packet-level TFRC sender shares it instead of owning a copy.
 [[nodiscard]] const ThroughputFunction& unit_throughput_function(const std::string& name);
 
+/// Inverts h(x) = f(1/x): the mean loss-event interval x at which f sends
+/// `rate` packets/second, by bisection on the increasing h (to within 1e-9 of
+/// the bracket). TFRC seeds its loss history with it after the first loss
+/// event (RFC 3448 Section 6.3.1). Requires rate > 0.
+[[nodiscard]] double interval_for_rate(const ThroughputFunction& f, double rate);
+
 }  // namespace ebrc::model

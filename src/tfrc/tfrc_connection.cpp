@@ -4,22 +4,8 @@
 #include <cmath>
 
 #include "core/weights.hpp"
-#include "model/solvers.hpp"
 
 namespace ebrc::tfrc {
-namespace {
-
-/// Inverts h(x) = f(1/x) at a target rate by bisection (h is increasing).
-double invert_rate(const model::ThroughputFunction& f, double target_rate) {
-  double lo = 1.0;
-  double hi = 2.0;
-  while (f.rate_from_interval(lo) > target_rate && lo > 1e-9) lo *= 0.5;
-  while (f.rate_from_interval(hi) < target_rate && hi < 1e12) hi *= 2.0;
-  return model::bisect([&](double x) { return f.rate_from_interval(x) - target_rate; }, lo, hi,
-                       1e-9 * hi);
-}
-
-}  // namespace
 
 TfrcLaw::TfrcLaw(TfrcConfig cfg)
     : cfg_(std::move(cfg)),
@@ -59,7 +45,7 @@ void TfrcLaw::seed_history(double now, const net::PacedReceiver& rcv,
   const double recv_rate = rcv.recv_since_feedback > 0
                                ? static_cast<double>(rcv.recv_since_feedback) / elapsed
                                : sender_rate.pps();
-  const double theta0 = invert_rate(*unit_formula_, recv_rate * rcv.rtt_hint);
+  const double theta0 = model::interval_for_rate(*unit_formula_, recv_rate * rcv.rtt_hint);
   history_.seed(std::max(1.0, theta0));
 }
 
