@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/random.hpp"
+#include "test_support.hpp"
 #include "testbed/scenario.hpp"
 #include "testbed/scenario_io.hpp"
 #include "util/doc.hpp"
@@ -44,39 +44,24 @@ std::vector<testbed::Scenario> seed_scenarios() {
           churn};
 }
 
-class Mutator {
+class Mutator : public ebrc::testing::MutationRng {
  public:
-  explicit Mutator(std::uint64_t seed) : rng_(seed) {}
-
-  /// Uniform in [0, n); 0 when n is 0.
-  std::size_t below(std::size_t n) {
-    if (n == 0) return 0;
-    return static_cast<std::size_t>(rng_.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-  }
+  using MutationRng::MutationRng;
 
   /// One to four stacked mutations of `s`; `seeds` feeds the splices.
   std::string mutate(std::string s, const std::vector<std::string>& seeds) {
     const std::size_t rounds = 1 + below(4);
     for (std::size_t i = 0; i < rounds; ++i) {
       switch (below(5)) {
-        case 0:  // bit flip
-          if (!s.empty()) s[below(s.size())] ^= static_cast<char>(1u << below(8));
-          break;
-        case 1:  // byte set
-          if (!s.empty()) s[below(s.size())] = interesting_char();
-          break;
-        case 2:  // insert
-          s.insert(below(s.size() + 1), 1 + below(3), interesting_char());
-          break;
-        case 3:  // truncation
-          s.resize(below(s.size() + 1));
-          break;
-        default: {  // splice: a prefix of this input, the tail of a seed
-          const std::string& other = seeds[below(seeds.size())];
-          const std::size_t cut = below(s.size() + 1);
-          s = s.substr(0, cut) + other.substr(below(other.size() + 1));
+        case 0: flip_bit(s); break;
+        case 1: set_byte(s, [this] { return interesting_char(); }); break;
+        case 2: {  // 1-3 copies of a syntax-biased byte: the byte, then the count
+          const char c = interesting_char();
+          insert(s, 1 + below(3), c);
           break;
         }
+        case 3: truncate(s); break;
+        default: splice(s, seeds); break;
       }
     }
     return s;
@@ -87,8 +72,6 @@ class Mutator {
     static constexpr char kSyntax[] = "{}[]\":,=#\\\n \t.-+0123456789eEinfatrsu";
     return below(2) == 0 ? kSyntax[below(sizeof(kSyntax) - 1)] : static_cast<char>(below(256));
   }
-
-  sim::Rng rng_;
 };
 
 /// Equal tables, with doubles compared by bit pattern (so -0.0 must stay

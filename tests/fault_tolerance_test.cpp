@@ -18,9 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
-#include <unistd.h>
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -31,7 +29,7 @@
 #include <thread>
 #include <vector>
 
-#include "sim/random.hpp"
+#include "test_support.hpp"
 #include "testbed/batch.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/fault_injection.hpp"
@@ -66,19 +64,7 @@ struct FaultGuard {
   ~FaultGuard() { fault::disarm(); }
 };
 
-/// A fresh directory under the system temp dir, removed on destruction.
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    static std::atomic<int> counter{0};
-    path = fs::temp_directory_path() /
-           ("ebrc_fault_tolerance_test_" + std::to_string(::getpid()) + "_" +
-            std::to_string(counter.fetch_add(1)));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-};
+using ebrc::testing::TempDir;
 
 void expect_bits(double a, double b, const char* what) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b)) << what;
@@ -196,31 +182,24 @@ TEST(FaultInjection, PlanSpecFuzz) {
       "torn-index@9;crash@12:3",
   };
   static constexpr char kAlphabet[] = "0123456789@:*,; -+xtc";
-  ebrc::sim::Rng rng(0x5eed'fa17'0000'0001ull);
-  const auto below = [&](std::size_t n) {
-    return n == 0 ? std::size_t{0}
-                  : static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-  };
+  ebrc::testing::MutationRng rng(0x5eed'fa17'0000'0001ull);
 
   std::size_t accepted = 0;
   for (int m = 0; m < 20000; ++m) {
-    std::string spec = seeds[below(seeds.size())];
-    for (std::size_t r = 1 + below(4); r > 0; --r) {
-      switch (below(4)) {
-        case 0:  // byte flip
-          if (!spec.empty()) spec[below(spec.size())] ^= static_cast<char>(1u << below(8));
+    std::string spec = seeds[rng.below(seeds.size())];
+    for (std::size_t r = 1 + rng.below(4); r > 0; --r) {
+      switch (rng.below(4)) {
+        case 0: rng.flip_bit(spec); break;
+        case 1:  // one byte, biased to the plan syntax
+          rng.insert(spec, 1,
+                     rng.below(4) == 0 ? static_cast<char>(rng.below(256))
+                                       : kAlphabet[rng.below(sizeof(kAlphabet) - 1)]);
           break;
-        case 1:  // insert
-          spec.insert(below(spec.size() + 1), 1,
-                      below(4) == 0 ? static_cast<char>(below(256))
-                                    : kAlphabet[below(sizeof(kAlphabet) - 1)]);
-          break;
-        case 2:  // truncation
-          spec.resize(below(spec.size() + 1));
-          break;
-        default: {  // splice: a prefix of this spec, the tail of a seed
-          const std::string& other = seeds[below(seeds.size())];
-          spec = spec.substr(0, below(spec.size() + 1)) + other.substr(below(other.size() + 1));
+        case 2: rng.truncate(spec); break;
+        default: {  // splice, drawing the seed's tail before the cut
+          const std::string& other = seeds[rng.below(seeds.size())];
+          const std::size_t from = rng.below(other.size() + 1);
+          spec = spec.substr(0, rng.below(spec.size() + 1)) + other.substr(from);
           break;
         }
       }

@@ -12,7 +12,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +21,7 @@
 
 #include "obs/flight_recorder.hpp"
 #include "sim/simulator.hpp"
+#include "test_support.hpp"
 #include "testbed/batch.hpp"
 #include "testbed/fault_injection.hpp"
 #include "testbed/scenario.hpp"
@@ -38,20 +38,7 @@ using ebrc::testbed::ShardSpec;
 using ebrc::testbed::SweepReport;
 namespace fault = ebrc::testbed::fault;
 
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    static std::atomic<int> counter{0};
-    path = fs::temp_directory_path() /
-           ("ebrc_flight_test_" + std::to_string(::getpid()) + "_" +
-            std::to_string(counter.fetch_add(1)));
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using ebrc::testing::TempDir;
 
 struct FaultGuard {
   ~FaultGuard() { fault::disarm(); }

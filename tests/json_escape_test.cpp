@@ -7,14 +7,13 @@
 //     to the original bytes.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
 
-#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "test_support.hpp"
 #include "testbed/supervisor.hpp"
 #include "util/doc.hpp"
 #include "util/json_escape.hpp"
@@ -75,20 +74,7 @@ TEST(JsonEscapeTest, RoundTripsThroughParseJson) {
 
 // ---- the event feed, line by line, through the strict parser ----------------
 
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    static std::atomic<int> counter{0};
-    path = fs::temp_directory_path() /
-           ("ebrc_json_escape_test_" + std::to_string(::getpid()) + "_" +
-            std::to_string(counter.fetch_add(1)));
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using ebrc::testing::TempDir;
 
 TEST(JsonEscapeTest, EveryFeedLineParsesAsStrictJson) {
   TempDir dir;

@@ -9,7 +9,6 @@
 //     ResultStore payload codec.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -22,13 +21,12 @@
 #include "obs/run_obs.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
+#include "test_support.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/result_store.hpp"
 #include "testbed/scenario.hpp"
 
 namespace {
-
-namespace fs = std::filesystem;
 
 using ebrc::obs::CellTrace;
 using ebrc::obs::Histogram;
@@ -39,20 +37,7 @@ using ebrc::obs::Series;
 using ebrc::obs::Snapshot;
 using ebrc::obs::TraceWriter;
 
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    static std::atomic<int> counter{0};
-    path = fs::temp_directory_path() /
-           ("ebrc_obs_test_" + std::to_string(::getpid()) + "_" +
-            std::to_string(counter.fetch_add(1)));
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using ebrc::testing::TempDir;
 
 [[nodiscard]] double snap_value(const Snapshot& s, const std::string& name) {
   for (const auto& [k, v] : s) {

@@ -12,8 +12,6 @@
 //     crashes it.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -22,7 +20,7 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/random.hpp"
+#include "test_support.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/result_store.hpp"
 #include "testbed/scenario.hpp"
@@ -71,39 +69,20 @@ std::vector<std::string> seed_payloads() {
           testbed::encode_result(synthetic)};
 }
 
-class Mutator {
+class Mutator : public ebrc::testing::MutationRng {
  public:
-  explicit Mutator(std::uint64_t seed) : rng_(seed) {}
-
-  /// Uniform in [0, n); 0 when n is 0.
-  std::size_t below(std::size_t n) {
-    if (n == 0) return 0;
-    return static_cast<std::size_t>(rng_.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-  }
+  using MutationRng::MutationRng;
 
   /// One to four stacked mutations of `s`; `seeds` feeds the splices.
   std::string mutate(std::string s, const std::vector<std::string>& seeds) {
     const std::size_t rounds = 1 + below(4);
     for (std::size_t i = 0; i < rounds; ++i) {
       switch (below(5)) {
-        case 0:  // bit flip
-          if (!s.empty()) s[below(s.size())] ^= static_cast<char>(1u << below(8));
-          break;
-        case 1:  // byte set
-          if (!s.empty()) s[below(s.size())] = static_cast<char>(interesting_byte());
-          break;
-        case 2:  // truncation
-          s.resize(below(s.size() + 1));
-          break;
-        case 3:
-          edit_length_word(s);
-          break;
-        default: {  // splice: a prefix of this input, the tail of a seed
-          const std::string& other = seeds[below(seeds.size())];
-          const std::size_t cut = below(s.size() + 1);
-          s = s.substr(0, cut) + other.substr(below(other.size() + 1));
-          break;
-        }
+        case 0: flip_bit(s); break;
+        case 1: set_byte(s, [this] { return static_cast<char>(interesting_byte()); }); break;
+        case 2: truncate(s); break;
+        case 3: edit_length_word(s); break;
+        default: splice(s, seeds); break;
       }
     }
     return s;
@@ -142,20 +121,6 @@ class Mutator {
     util::ByteReader r(std::string_view(s).substr(at, 8));
     return r.u64();
   }
-
-  sim::Rng rng_;
-};
-
-/// A fresh directory under the system temp dir, removed on destruction.
-struct TempDir {
-  fs::path path;
-  TempDir()
-      : path(fs::temp_directory_path() /
-             ("ebrc_result_codec_fuzz_" + std::to_string(::getpid()))) {
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
 };
 
 /// A valid entry envelope (magic, version and key from a real stored entry)
@@ -183,7 +148,7 @@ TEST(ResultCodecFuzz, EveryInputIsRejectedOrRoundTripsExactly) {
   }
 
   // An entry file from the store itself supplies a well-formed envelope.
-  TempDir dir;
+  ebrc::testing::TempDir dir;
   testbed::ResultStore store(dir.path / "store");
   const auto sc = testbed::ns2_scenario(1, 1, 8, /*seed=*/1);
   const auto first = testbed::decode_result(seeds[0]);

@@ -8,9 +8,7 @@
 //     unsharded run — per run AND per aggregated metric.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -19,6 +17,7 @@
 #include <vector>
 
 #include "result_fields.hpp"
+#include "test_support.hpp"
 #include "testbed/batch.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/fault_injection.hpp"
@@ -45,19 +44,7 @@ Scenario short_ns2(std::uint64_t seed) {
   return s;
 }
 
-/// A fresh directory under the system temp dir, removed on destruction.
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    static std::atomic<int> counter{0};
-    path = fs::temp_directory_path() /
-           ("ebrc_result_store_test_" + std::to_string(::getpid()) + "_" +
-            std::to_string(counter.fetch_add(1)));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-};
+using ebrc::testing::TempDir;
 
 using ebrc::testing::expect_same_fields;
 

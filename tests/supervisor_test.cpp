@@ -18,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "test_support.hpp"
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -31,19 +33,7 @@ using ebrc::testbed::isolation_from;
 using ebrc::testbed::isolation_name;
 using ebrc::testbed::signal_name;
 
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    path = fs::temp_directory_path() /
-           ("ebrc-supervisor-test-" + std::to_string(::getpid()) + "-" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
+using ebrc::testing::TempDir;
 
 TEST(IsolationModeTest, ParsesAndNames) {
   EXPECT_EQ(isolation_from("none"), IsolationMode::kInProcess);

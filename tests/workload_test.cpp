@@ -11,9 +11,7 @@
 //   * the PopulationTracker's time-average/epoch algebra is exact.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -26,6 +24,7 @@
 #include "sim/simulator.hpp"
 #include "stats/population.hpp"
 #include "tcp/tcp_connection.hpp"
+#include "test_support.hpp"
 #include "testbed/batch.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/result_store.hpp"
@@ -46,17 +45,7 @@ testbed::Scenario short_churn(std::uint64_t seed, double load = 1.0) {
   return s;
 }
 
-struct TempDir {
-  fs::path path;
-  TempDir() {
-    static std::atomic<int> counter{0};
-    path = fs::temp_directory_path() / ("ebrc_workload_test_" + std::to_string(::getpid()) +
-                                        "_" + std::to_string(counter.fetch_add(1)));
-    fs::remove_all(path);
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-};
+using ebrc::testing::TempDir;
 
 using ebrc::testing::expect_same_fields;
 
