@@ -148,17 +148,29 @@ TEST(AimdLaw, ConvergesToClosedFormLossRate) {
   EXPECT_LT(p_measured, 3.0 * p_model);
 }
 
-TEST(AimdLaw, RateOscillatesBetweenBetaCAndC) {
+TEST(AimdLaw, RateStaysBelowTwiceCAndAveragesBetweenBetaCAndC) {
   tcp::AimdConfig cfg;
   cfg.alpha = 1.0;  // gentle slope so the detection lag's overshoot is small
   cfg.beta = 0.5;
   cfg.initial_rate = 50.0;
   AimdWorld w(3, 0.05, cfg);
   w.conn.start(0.0);
-  w.sim.run_until(300.0);
-  // After warm-up the rate should live in roughly [beta*c, ~c+slack].
-  EXPECT_GT(w.conn.target_rate().pps(), 0.3 * 125.0);
-  EXPECT_LT(w.conn.target_rate().pps(), 2.0 * 125.0);
+  // The rate, once a second after warm-up. Single samples range from 0.18c
+  // to 1.47c (70 of the 271 fall below beta*c), so the band is checked on
+  // the series: never above 2c, and on average in [beta*c, c].
+  constexpr double kC = 125.0;  // link capacity, packets/s
+  double sum = 0.0;
+  int n = 0;
+  for (double t = 30.0; t <= 300.0; t += 1.0) {
+    w.sim.run_until(t);
+    const double rate = w.conn.target_rate().pps();
+    EXPECT_LT(rate, 2.0 * kC) << "t = " << t;
+    sum += rate;
+    ++n;
+  }
+  ASSERT_EQ(n, 271);
+  EXPECT_GE(sum / n, cfg.beta * kC);
+  EXPECT_LE(sum / n, kC);
   EXPECT_THROW(tcp::AimdConnection(w.net, 0, 0.05, tcp::AimdConfig{-1.0, 0.5, 1.0, 1000.0}),
                std::invalid_argument);
   EXPECT_THROW(tcp::AimdConnection(w.net, 0, 0.05, tcp::AimdConfig{1.0, NAN, 1.0, 1000.0}),
