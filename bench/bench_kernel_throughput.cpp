@@ -10,10 +10,10 @@
 //                    pattern (2 executed events per 3 scheduled)
 //   steady_state     self-rescheduling chains holding a bounded pending set,
 //                    the shape of a real experiment run
-//   pinned_steady    the same chain shape on pinned events: once the timing
-//                    wheel calibrates, scheduling is an O(1) bucket append
-//                    and pops drain from the wheel (the "wheel share"
-//                    column reports the wheel-vs-heap pop split)
+//   pinned_steady    the same chain shape on pinned events: every schedule
+//                    is an O(1) timing-wheel bucket append and every pop
+//                    drains from the wheel (the "wheel share" column
+//                    reports the wheel-vs-heap pop split: 1 here)
 //
 // and reports events/second (best of --reps measurement slices, so a loaded
 // CI box reports its least-interfered slice) plus InlineFunction
@@ -141,9 +141,8 @@ RunStats steady_run(std::uint64_t n, double& sink) {
 }
 
 // The pinned-delivery shape: self-rescheduling PINNED chains (pipe
-// deliveries, pacing ticks). After the 64-sample calibration the timing
-// wheel absorbs every schedule as an O(1) bucket append, and nearly all
-// pops drain from the wheel's front run.
+// deliveries, pacing ticks). The timing wheel absorbs every schedule as an
+// O(1) bucket append, and every pop drains from the wheel's front run.
 RunStats pinned_run(std::uint64_t n, double& sink) {
   constexpr int kChains = 512;
   Simulator sim;
