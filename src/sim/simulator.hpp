@@ -378,9 +378,9 @@ class Simulator {
   // overhead when the callback never changes and is never cancelled. A
   // pinned event registers the callback once; scheduling it afterwards is a
   // bare entry push (24 bytes, zero slab traffic) — an O(1) timing-wheel
-  // bucket append — and firing invokes it in place. Pinned events cannot be cancelled
-  // individually — guard with a component-side flag, as the protocols'
-  // `running_` already does. Execution order remains the global
+  // bucket append — and firing invokes it in place. Pinned events cannot be
+  // cancelled individually — guard with a component-side flag, as the
+  // protocols' `running_` already does. Execution order remains the global
   // (time, insertion-seq) order shared with slab events: wheel and heap pops
   // merge on the same 128-bit key.
 
@@ -513,7 +513,7 @@ class Simulator {
   std::uint64_t wheel_pops_ = 0;
   std::uint64_t heap_pops_ = 0;
   EventSlab* slab_;  // intrusively refcounted; see EventSlab::retain/release
-  std::vector<Entry> heap_;  // slab entries, 4-ary min-heap: children of i at 4i+1 .. 4i+4
+  std::vector<Entry> heap_;  // slab entries, 4-ary: children of i at 4i+1 .. 4i+4
   std::deque<EventFn> pinned_;  // deque: pin() during a run never relocates
   TimingWheel wheel_;  // pinned entries; merged with the heap at pop
   bool lookahead_ = false;  // pinned_.size() > kLookaheadPins

@@ -99,9 +99,12 @@ class TimingWheel {
   static constexpr std::uint64_t kBuckets = 1ull << kBucketBits;  // per level
   static constexpr int kLevels = 3;
   static constexpr std::uint64_t kSpanTicks = 1ull << (kLevels * kBucketBits);
-  /// Tick a new wheel starts with; the first re-tick window replaces it with
-  /// one measured from the workload.
-  static constexpr double kStartTick = 1e-6;
+  /// Tick a new wheel starts with: the order of the packet path's pinned
+  /// delays (a 1000-byte packet takes 0.53 ms at 15 Mb/s; pacing gaps and
+  /// feedback ticks are longer), so a typical delay lands in level 0 from
+  /// the first event. Re-ticks replace it with one measured from the
+  /// workload.
+  static constexpr double kStartTick = 1e-3;
   /// Density re-tick: wheel events per measurement window, the band of mean
   /// front-run lengths left alone, and the run length a re-tick aims for.
   static constexpr std::uint64_t kRetickWindow = 1ull << 14;

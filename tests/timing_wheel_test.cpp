@@ -311,11 +311,11 @@ TEST(TimingWheel, QueueSizeSpansBothStructures) {
 
 // -------- tripwires: the tick follows real workloads' density ---------------
 //
-// The wheel starts at a constant 1 us tick, far finer than the gaps between
-// wheel events once most workloads settle (a static cell's pacing and pipe
-// hops), and a churn ramp's dense arrivals pull the tick finer still; front
-// runs then hold one event each and there is nothing to prefetch along.
-// After warm-up the density re-tick must keep the mean run at 2 or more.
+// The wheel starts at a constant 1 ms tick, which fits neither a churn fill
+// ramp's dense arrivals nor the window after it, whose wheel events are
+// sparser than the ramp's; with a tick far finer than the gaps, front runs
+// hold one event each and there is nothing to prefetch along. After
+// warm-up the density re-tick must keep the mean run at 2 or more.
 
 double mean_run_over(ebrc::sim::Simulator& sim, double until) {
   const std::uint64_t pops0 = sim.wheel_pops();
