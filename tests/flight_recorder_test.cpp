@@ -1,5 +1,7 @@
 // obs::FlightRecorder — the crash-surviving kernel-event ring:
 //   * create/record/dump on a live simulator, oldest-first ring order,
+//   * each dumped record names its event kind: a slab event by slab index,
+//     a pinned one by pin id,
 //   * the MAP_SHARED contract: records written before an abort() are
 //     readable from the file afterwards with no flush or handler,
 //   * dump_to_text rejects missing/foreign/truncated files,
@@ -78,6 +80,30 @@ TEST(FlightRecorderTest, RecordsExecutedEventsAndDumpsOldestFirst) {
   ASSERT_NE(first, std::string::npos);
   ASSERT_NE(last, std::string::npos);
   EXPECT_LT(first, last);
+}
+
+TEST(FlightRecorderTest, DumpNamesSlabAndPinnedEvents) {
+  // A pinned event pops from the wheel and records its pin id; a slab event
+  // pops from the heap and records its slab index.
+  TempDir dir;
+  const std::string ring_path = (dir.path / "ring.flight").string();
+  auto rec = FlightRecorder::create(ring_path, /*capacity=*/8);
+  ASSERT_NE(rec, nullptr);
+  ebrc::sim::Simulator sim;
+  sim.set_kernel_ring(rec->ring());
+  (void)sim.pin([] {});
+  const auto pinned = sim.pin([] {});
+  sim.schedule_pinned(1.0, pinned);
+  sim.schedule(2.0, [] {});
+  sim.run_until(10.0);
+
+  const std::string out_path = (dir.path / "dump.txt").string();
+  ASSERT_TRUE(FlightRecorder::dump_to_text(ring_path, out_path));
+  const std::string dump = read_file(out_path);
+  EXPECT_NE(dump.find("#0 t=1.000000000 slot=0x00000001 src=pinned\n"), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("#1 t=2.000000000 slot=0x00000000 src=slab\n"), std::string::npos)
+      << dump;
 }
 
 TEST(FlightRecorderTest, RingOverwriteKeepsTheTail) {
