@@ -1,4 +1,4 @@
-// Test support shared across test binaries: a scratch directory that
+// Test support shared across test binaries: a temporary directory that
 // cleans up after itself, and the format-independent moves of the mutation
 // fuzzers.
 #pragma once
