@@ -77,7 +77,6 @@ class DelayAimdLaw {
     snd_.threshold = cfg_.initial_threshold;
     qdelay_.rewind();
   }
-  void reset_counters() noexcept { qdelay_.reset_counters(); }
   [[nodiscard]] util::DataRate next_rate(const Report& fb, const net::RateSample& s) noexcept;
   void on_data(const net::Packet&, std::int64_t, double, const net::PacedReceiver&,
                util::DataRate) noexcept {}

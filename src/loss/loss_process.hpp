@@ -58,22 +58,6 @@ class ShiftedExponentialProcess final : public LossIntervalProcess {
   sim::Rng rng_;
 };
 
-/// i.i.d. gamma intervals: allows cv > 1 (more variable than exponential),
-/// complementing the shifted exponential which caps cv at 1.
-class GammaProcess final : public LossIntervalProcess {
- public:
-  GammaProcess(double mean, double cv, std::uint64_t seed);
-  [[nodiscard]] double next() override;
-  [[nodiscard]] double mean() const override { return mean_; }
-  [[nodiscard]] std::string name() const override { return "gamma"; }
-
- private:
-  double mean_;
-  double shape_;
-  double scale_;
-  sim::Rng rng_;
-};
-
 /// AR(1)-correlated intervals with tunable lag-1 autocorrelation rho in
 /// (-1, 1): theta_n = m + rho (theta_{n-1} - m) + eps_n, eps_n centered
 /// shifted-exponential innovations, truncated at a small positive floor.

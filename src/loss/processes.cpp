@@ -1,10 +1,7 @@
 #include "loss/loss_process.hpp"
 
 #include <cmath>
-#include <random>
 #include <stdexcept>
-
-#include "util/math.hpp"
 
 namespace ebrc::loss {
 
@@ -20,16 +17,6 @@ double ShiftedExponentialProcess::next() {
 }
 
 double ShiftedExponentialProcess::mean() const { return params_.x0 + 1.0 / params_.a; }
-
-GammaProcess::GammaProcess(double mean, double cv, std::uint64_t seed)
-    : mean_(mean), shape_(1.0 / util::sq(cv)), scale_(mean * util::sq(cv)), rng_(seed) {
-  if (mean <= 0 || cv <= 0) throw std::invalid_argument("GammaProcess: mean, cv must be > 0");
-}
-
-double GammaProcess::next() {
-  std::gamma_distribution<double> dist(shape_, scale_);
-  return dist(rng_.engine());
-}
 
 Ar1Process::Ar1Process(double mean, double cv, double rho, std::uint64_t seed)
     : mean_(mean),

@@ -6,8 +6,8 @@
 namespace ebrc::model {
 namespace {
 
-double simpson(const std::function<double(double)>& fn, double a, double fa, double m, double fm,
-               double b, double fb) {
+/// Simpson's rule on [a, b] from the values at a, the midpoint and b.
+double simpson(double a, double fa, double fm, double b, double fb) {
   return (b - a) / 6.0 * (fa + 4.0 * fm + fb);
 }
 
@@ -17,8 +17,8 @@ double adaptive(const std::function<double(double)>& fn, double a, double fa, do
   const double rm = 0.5 * (m + b);
   const double flm = fn(lm);
   const double frm = fn(rm);
-  const double left = simpson(fn, a, fa, lm, flm, m, fm);
-  const double right = simpson(fn, m, fm, rm, frm, b, fb);
+  const double left = simpson(a, fa, flm, m, fm);
+  const double right = simpson(m, fm, frm, b, fb);
   const double delta = left + right - whole;
   if (depth <= 0 || std::abs(delta) <= 15.0 * tol) {
     return left + right + delta / 15.0;
@@ -37,7 +37,7 @@ double integrate(const std::function<double(double)>& fn, double a, double b, do
   const double fa = fn(a);
   const double fm = fn(m);
   const double fb = fn(b);
-  const double whole = simpson(fn, a, fa, m, fm, b, fb);
+  const double whole = simpson(a, fa, fm, b, fb);
   return adaptive(fn, a, fa, m, fm, b, fb, whole, tol, max_depth);
 }
 

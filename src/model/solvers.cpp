@@ -1,6 +1,5 @@
 #include "model/solvers.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace ebrc::model {
@@ -26,18 +25,6 @@ double bisect(const std::function<double(double)>& fn, double lo, double hi, dou
     }
   }
   return 0.5 * (lo + hi);
-}
-
-double fixed_point(const std::function<double(double)>& fn, double x0, double damping, double tol,
-                   int max_iter) {
-  double x = x0;
-  for (int i = 0; i < max_iter; ++i) {
-    const double fx = fn(x);
-    if (!std::isfinite(fx)) throw std::runtime_error("fixed_point: iterate diverged");
-    if (std::abs(fx - x) <= tol * std::max(1.0, std::abs(x))) return fx;
-    x = (1.0 - damping) * x + damping * fx;
-  }
-  throw std::runtime_error("fixed_point: no convergence");
 }
 
 }  // namespace ebrc::model

@@ -1,4 +1,4 @@
-// Root finding / fixed-point helpers.
+// Root finding.
 #pragma once
 
 #include <functional>
@@ -9,10 +9,5 @@ namespace ebrc::model {
 /// midpoint once the bracket is below xtol.
 [[nodiscard]] double bisect(const std::function<double(double)>& fn, double lo, double hi,
                             double xtol = 1e-12, int max_iter = 200);
-
-/// Damped fixed-point iteration x <- (1-damping) x + damping fn(x) starting
-/// from x0 until |fn(x) - x| <= tol * max(1, |x|). Throws on divergence.
-[[nodiscard]] double fixed_point(const std::function<double(double)>& fn, double x0,
-                                 double damping = 0.5, double tol = 1e-10, int max_iter = 10000);
 
 }  // namespace ebrc::model

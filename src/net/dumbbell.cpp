@@ -6,11 +6,7 @@ namespace ebrc::net {
 
 Dumbbell::Dumbbell(sim::Simulator& sim, Queue queue, double rate_bps,
                    double shared_prop_delay_s)
-    : sim_(sim),
-      // The bottleneck is driven exclusively through forward(); its own
-      // staging handler never runs.
-      bottleneck_(sim, std::move(queue), rate_bps, shared_prop_delay_s,
-                  [](const Packet&) {}) {}
+    : sim_(sim), bottleneck_(sim, std::move(queue), rate_bps, shared_prop_delay_s) {}
 
 int Dumbbell::add_flow(double fwd_prop_s, double rev_prop_s) {
   if (fwd_prop_s < 0 || rev_prop_s < 0) throw std::invalid_argument("Dumbbell: negative delay");

@@ -28,14 +28,12 @@ void DelayPipe::deliver_head() {
   if (deliver_) deliver_(p);
 }
 
-Link::Link(sim::Simulator& sim, Queue queue, double rate_bps, double prop_delay_s,
-           PacketHandler deliver)
+Link::Link(sim::Simulator& sim, Queue queue, double rate_bps, double prop_delay_s)
     : sim_(sim),
       queue_(std::move(queue)),
       rate_bps_(rate_bps),
       inv_rate_(8.0 / rate_bps),
       prop_delay_s_(prop_delay_s),
-      stage_(sim, 0.0, std::move(deliver)),
       created_at_(sim.now()) {
   if (rate_bps <= 0) throw std::invalid_argument("Link: rate must be > 0");
   if (prop_delay_s < 0) throw std::invalid_argument("Link: negative delay");
@@ -86,11 +84,6 @@ void Link::rcp_update(double now) {
                              rcp_capacity_pps_);
   rcp_last_update_ = now;
   rcp_arrivals_ = 0;
-}
-
-void Link::send(const Packet& p) {
-  double deliver_at;
-  if (forward(p, deliver_at)) stage_.send_at(p, deliver_at);
 }
 
 double Link::utilization() const {

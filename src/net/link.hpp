@@ -39,7 +39,8 @@ namespace ebrc::net {
 using PacketHandler = sim::InlineFunction<void(const Packet&), 48>;
 
 /// Infinite-capacity fixed-delay pipe (ACK/feedback return paths, added
-/// propagation segments), also used as the staging stage behind a Link.
+/// propagation segments), also where a packet a Link forwarded waits out
+/// its transit.
 class DelayPipe {
  public:
   /// A pipe without a handler drops what it delivers until set_handler()
@@ -101,21 +102,13 @@ struct RcpParams {
 /// (protocols detect them end-to-end, as on a real router).
 class Link {
  public:
-  Link(sim::Simulator& sim, Queue queue, double rate_bps, double prop_delay_s,
-       PacketHandler deliver);
-
-  Link(const Link&) = delete;  // stage_ pins a this-capturing callback
-  Link& operator=(const Link&) = delete;
+  Link(sim::Simulator& sim, Queue queue, double rate_bps, double prop_delay_s);
 
   /// Resolves a packet's transit inline at the current simulated time:
   /// returns false when the discipline drops it; otherwise sets `deliver_at`
   /// to the instant the packet finishes serialization + propagation.
   /// The caller owns staging the packet until then — no event is scheduled.
   [[nodiscard]] bool forward(const Packet& p, double& deliver_at);
-
-  /// Self-contained form: forward() plus staging in an internal pipe that
-  /// invokes this link's delivery handler at the right time.
-  void send(const Packet& p);
 
   [[nodiscard]] Queue& queue() noexcept { return queue_; }
   [[nodiscard]] const Queue& queue() const noexcept { return queue_; }
@@ -144,7 +137,6 @@ class Link {
   double rate_bps_;
   double inv_rate_;  // 8 / rate_bps: seconds per byte
   double prop_delay_s_;
-  DelayPipe stage_;  // delivery staging for send(); unused via forward()
   double clock_out_ = 0.0;  // virtual clock: when the server frees up
   double busy_time_ = 0.0;
   double created_at_ = 0.0;

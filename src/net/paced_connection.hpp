@@ -10,7 +10,7 @@
 //
 //   skeleton (here)                      law (tfrc/, delay_aimd/, rcp/, tcp/)
 //   ----------------------------------   ---------------------------------
-//   lifecycle: start/stop/open/close,    its Config and the checks only it
+//   lifecycle: start/open,               its Config and the checks only it
 //     completion, the POD rewind           needs; its per-transfer state,
 //   pacing chain (send_next)               rewound by the skeleton
 //   receiver: sequence gaps, recorder,   report -> next rate
@@ -26,7 +26,7 @@
 // something to report; a tick that finds nothing received since the last
 // report parks the chain instead of scheduling its successor, storing the
 // successor's time. Whatever could make a later tick non-empty or end the
-// chain (on_data, close, finish_transfer, stop, open) unparks it first: the
+// chain (on_data, finish_transfer, open) unparks it first: the
 // stored time steps forward on the same grid, by the same repeated addition
 // the ticks would have done, over every instant already passed (each would
 // have been an empty tick, a no-op), and one real tick is scheduled at the
@@ -108,10 +108,6 @@ struct QueuingDelayMeter {
     return qdelay;
   }
   void rewind() noexcept { min_rtt = util::TimeDelta(); }
-  void reset_counters() noexcept {
-    sum_s = 0.0;
-    samples = 0;
-  }
 };
 
 /// A rate law: what PacedConnection needs from a controller.
@@ -129,8 +125,7 @@ concept RateLaw = requires(L law, const L claw, const Packet& p, const typename 
   // Delay-AIMD: a report without a positive RTT sample changes nothing.
   { L::kNeedsRttSample } -> std::convertible_to<bool>;
   { claw.params() } -> std::convertible_to<PacedParams>;
-  law.rewind();          // per-transfer state back to the constructor's
-  law.reset_counters();  // end of warm-up
+  law.rewind();  // per-transfer state back to the constructor's
   { law.next_rate(report, s) } -> std::convertible_to<util::DataRate>;  // before min_rate
   law.on_data(p, missing, now, rcv, util::DataRate());  // the sender's rate, for seeding
   { claw.report_value() } -> std::convertible_to<double>;
@@ -156,7 +151,6 @@ class PacedConnection {
 
   /// Continuous source from absolute time `at`.
   void start(double at);
-  void stop();
 
   // --- pooled lifecycle (workload::Sender) ------------------------------
   //
@@ -164,21 +158,20 @@ class PacedConnection {
   // are permanent) and open()s it per transfer. open() rewinds every piece
   // of per-transfer protocol and law state; the cumulative counters (sent,
   // delivered, the loss-event recorder, RTT moments, queuing-delay totals)
-  // keep accumulating. The pacing and feedback chains are guarded, not
-  // cancelled: a chain still armed from the previous incarnation is reused,
-  // never doubled. The pool quarantines a retired slot for a drain interval
-  // before reopening it, so no packet of the previous transfer reaches the
-  // new one (see workload::FlowManager).
+  // keep accumulating. finish_transfer retires the flow when its last
+  // packet leaves: the pacing chain ends there, and the feedback chain,
+  // guarded rather than cancelled, dies at its next tick. A reopen before
+  // that tick reuses the live feedback chain, never doubles it. The pool
+  // quarantines a retired slot for a drain interval before reopening it, so
+  // no packet of the previous transfer reaches the new one (see
+  // workload::FlowManager).
 
-  /// (Re)opens for a transfer of `transfer_packets` data packets (0 =
-  /// unbounded); the first packet leaves at the current time. `on_complete`
-  /// fires once, at the emission of the final packet: a paced unreliable
-  /// source is done when it has paced everything out.
+  /// Opens a retired (or never started) connection for a transfer of
+  /// `transfer_packets` data packets (0 = unbounded); the first packet
+  /// leaves at the current time. `on_complete` fires once, at the emission
+  /// of the final packet: a paced unreliable source is done when it has
+  /// paced everything out.
   void open(std::uint64_t transfer_packets, CompletionFn on_complete = {});
-  /// Retires the flow: the chains die lazily (a parked feedback chain is
-  /// unparked to die at its next tick), a pending completion is dropped,
-  /// counters survive.
-  void close();
 
   [[nodiscard]] bool active() const noexcept { return running_; }
   [[nodiscard]] std::uint64_t transfers_completed() const noexcept {
@@ -199,9 +192,6 @@ class PacedConnection {
   [[nodiscard]] std::uint64_t queuing_delay_samples() const noexcept {
     return law_.queuing_delay().samples;
   }
-  /// Resets sent/delivered and the law's counters (the recorder excepted)
-  /// at the end of warm-up.
-  void reset_counters() noexcept;
 
   [[nodiscard]] const Law& law() const noexcept { return law_; }
 
@@ -228,15 +218,17 @@ class PacedConnection {
 
   Dumbbell& net_;
   int flow_;
-  // The chain guards survive the rewind: an armed chain is reused by the
-  // next incarnation, never doubled. `receiving_` is per-transfer.
+  // A pinned send_next is pending exactly while running_: the pacing chain
+  // ends with the transfer. The feedback chain outlives it by one tick, so
+  // its guard survives the rewind: a live chain is reused by the next
+  // incarnation, never doubled. `receiving_` is per-transfer.
   bool running_ = false;
-  bool pacing_armed_ = false;    // a pinned send_next is pending in the kernel
   bool feedback_armed_ = false;  // the feedback chain is live: a tick is pending or parked
   bool receiving_ = false;       // the receiver has seen this transfer's first packet
   double base_rtt_s_;
-  // Pinned per-packet/per-RTT events: the guards above gate them instead of
-  // cancellation.
+  // Pinned per-packet/per-RTT events, never cancelled: send_next stops
+  // rescheduling at the transfer's last packet, feedback_tick once it finds
+  // running_ false.
   sim::Simulator::PinnedEvent send_ev_ = 0;
   sim::Simulator::PinnedEvent feedback_ev_ = 0;
   SenderState snd_;
@@ -288,12 +280,6 @@ void PacedConnection<Law>::start(double at) {
 }
 
 template <RateLaw Law>
-void PacedConnection<Law>::stop() {
-  running_ = false;
-  unpark_feedback();
-}
-
-template <RateLaw Law>
 void PacedConnection<Law>::open(std::uint64_t transfer_packets, CompletionFn on_complete) {
   // Unpark on the old rtt_hint, before the rewind resets it.
   unpark_feedback();
@@ -301,19 +287,7 @@ void PacedConnection<Law>::open(std::uint64_t transfer_packets, CompletionFn on_
   snd_.transfer_limit = transfer_packets;
   done_ = std::move(on_complete);
   running_ = true;
-  // Reuse a pacing chain still armed from the previous incarnation (close()
-  // between its scheduling and its firing); otherwise start a fresh one now.
-  if (!pacing_armed_) {
-    pacing_armed_ = true;
-    net_.simulator().schedule_pinned(0.0, send_ev_);
-  }
-}
-
-template <RateLaw Law>
-void PacedConnection<Law>::close() {
-  running_ = false;
-  done_ = CompletionFn{};
-  unpark_feedback();
+  net_.simulator().schedule_pinned(0.0, send_ev_);
 }
 
 template <RateLaw Law>
@@ -342,21 +316,10 @@ void PacedConnection<Law>::reset_transfer_state() {
   recorder_.set_rtt_window(base_rtt_s_);
 }
 
-template <RateLaw Law>
-void PacedConnection<Law>::reset_counters() noexcept {
-  sent_ = 0;
-  delivered_ = 0;
-  law_.reset_counters();
-}
-
 // --------------------------------------------------------------- sender ----
 
 template <RateLaw Law>
 void PacedConnection<Law>::send_next() {
-  if (!running_) {
-    pacing_armed_ = false;  // the chain dies here; open() may start a new one
-    return;
-  }
   Packet p;
   p.seq = snd_.next_seq++;
   p.size_bytes = law_.params().packet_bytes;
@@ -368,11 +331,9 @@ void PacedConnection<Law>::send_next() {
   if (snd_.transfer_limit != 0 && snd_.transfer_sent >= snd_.transfer_limit) {
     // Finite transfer: done at the emission of the final packet; delivery of
     // the tail is the network's business. The pacing chain ends with it.
-    pacing_armed_ = false;
     finish_transfer();
     return;
   }
-  pacing_armed_ = true;
   net_.simulator().schedule_pinned(snd_.rate.packet_interval().seconds(), send_ev_);
 }
 

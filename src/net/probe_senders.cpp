@@ -21,13 +21,9 @@ ProbeSender::ProbeSender(Dumbbell& net, int flow_id, double rate_pps, double pac
   recorder_.note_rate(rate_pps);
 }
 
-void ProbeSender::start(double at) {
-  running_ = true;
-  net_.simulator().schedule_pinned_at(at, send_ev_);
-}
+void ProbeSender::start(double at) { net_.simulator().schedule_pinned_at(at, send_ev_); }
 
 void ProbeSender::send_next() {
-  if (!running_) return;
   Packet p;
   p.seq = next_seq_++;
   p.size_bytes = packet_bytes_;
@@ -67,19 +63,14 @@ OnOffSender::OnOffSender(Dumbbell& net, int flow_id, double peak_pps, double pac
   }
 }
 
-void OnOffSender::start(double at) {
-  running_ = true;
-  net_.simulator().schedule_pinned_at(at, begin_on_ev_);
-}
+void OnOffSender::start(double at) { net_.simulator().schedule_pinned_at(at, begin_on_ev_); }
 
 void OnOffSender::begin_on() {
-  if (!running_) return;
   on_until_ = net_.simulator().now() + rng_.exponential_mean(mean_on_s_);
   send_next();
 }
 
 void OnOffSender::send_next() {
-  if (!running_) return;
   const double now = net_.simulator().now();
   if (now >= on_until_) {
     net_.simulator().schedule_pinned(rng_.exponential_mean(mean_off_s_), begin_on_ev_);

@@ -25,7 +25,6 @@ class ProbeSender {
   ProbeSender& operator=(const ProbeSender&) = delete;
 
   void start(double at);
-  void stop() { running_ = false; }
 
   [[nodiscard]] const stats::LossEventRecorder& recorder() const noexcept { return recorder_; }
   [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
@@ -48,7 +47,6 @@ class ProbeSender {
   std::int64_t expected_seq_ = 0;
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
-  bool running_ = false;
 };
 
 /// Exponential on / exponential off background source transmitting CBR at
@@ -62,7 +60,6 @@ class OnOffSender {
   OnOffSender& operator=(const OnOffSender&) = delete;
 
   void start(double at);
-  void stop() { running_ = false; }
   [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
 
  private:
@@ -81,7 +78,6 @@ class OnOffSender {
   std::int64_t next_seq_ = 0;
   std::uint64_t sent_ = 0;
   double on_until_ = 0.0;
-  bool running_ = false;
 };
 
 }  // namespace ebrc::net

@@ -55,7 +55,6 @@ class RcpLaw {
     have_stamp_ = false;
     qdelay_.rewind();
   }
-  void reset_counters() noexcept { qdelay_.reset_counters(); }
   [[nodiscard]] util::DataRate next_rate(const Report& r, const net::RateSample& s) noexcept;
   void on_data(const net::Packet& p, std::int64_t, double, const net::PacedReceiver&,
                util::DataRate) noexcept {

@@ -54,10 +54,6 @@ double Rng::pareto_mean(double mean, double alpha) {
   return xm / std::pow(1.0 - u, 1.0 / alpha);
 }
 
-double Rng::normal(double mu, double sigma) {
-  return std::normal_distribution<double>(mu, sigma)(engine_);
-}
-
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   assert(lo <= hi);
   return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);

@@ -25,7 +25,7 @@ namespace ebrc::sim {
 [[nodiscard]] std::uint64_t hash_seed(std::uint64_t root, std::string_view component);
 
 /// xoshiro256++ engine. Satisfies UniformRandomBitGenerator, so the std
-/// distributions the cold paths still use (gamma, geometric, normal) plug in
+/// distributions the cold paths still use (geometric, uniform_int) plug in
 /// directly.
 class Xoshiro256pp {
  public:
@@ -89,8 +89,6 @@ class Rng {
   bool bernoulli(double p);
   /// Pareto with shape alpha > 1 and given mean (used for on/off cross traffic).
   double pareto_mean(double mean, double alpha);
-  /// Normal(mu, sigma).
-  double normal(double mu, double sigma);
   /// Uniform integer in [lo, hi].
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 

@@ -33,13 +33,4 @@ double LaggedAutocovariance::correlation_at(std::size_t lag) const {
   return lag_accum_[lag - 1].correlation();
 }
 
-double LaggedAutocovariance::weighted(const std::vector<double>& weights) const {
-  if (weights.size() > lag_accum_.size()) {
-    throw std::invalid_argument("LaggedAutocovariance::weighted: more weights than tracked lags");
-  }
-  double s = 0.0;
-  for (std::size_t l = 0; l < weights.size(); ++l) s += weights[l] * lag_accum_[l].covariance();
-  return s;
-}
-
 }  // namespace ebrc::stats

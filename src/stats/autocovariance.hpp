@@ -27,10 +27,6 @@ class LaggedAutocovariance {
   /// Autocorrelation at `lag`.
   [[nodiscard]] double correlation_at(std::size_t lag) const;
 
-  /// Weighted combination sum_l w[l-1] * at(l); evaluates Eq. (11) given the
-  /// moving-average weights.
-  [[nodiscard]] double weighted(const std::vector<double>& weights) const;
-
   [[nodiscard]] std::size_t max_lag() const noexcept { return lag_accum_.size(); }
   [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
   [[nodiscard]] const OnlineMoments& marginal() const noexcept { return marginal_; }

@@ -53,9 +53,4 @@ double LossEventRecorder::loss_event_rate() const noexcept {
   return static_cast<double>(events_ - 1) / static_cast<double>(span_packets);
 }
 
-double LossEventRecorder::mean_interval() const noexcept {
-  const double p = loss_event_rate();
-  return p > 0.0 ? 1.0 / p : 0.0;
-}
-
 }  // namespace ebrc::stats

@@ -48,9 +48,6 @@ class LossEventRecorder {
   /// 0 before any packet.
   [[nodiscard]] double loss_event_rate() const noexcept;
 
-  /// Mean loss-event interval in packets (1/p).
-  [[nodiscard]] double mean_interval() const noexcept;
-
   /// Completed loss-event intervals theta_n in packets (needs store_series).
   [[nodiscard]] const std::vector<double>& intervals_packets() const noexcept {
     return theta_;

@@ -44,7 +44,6 @@ class AimdLaw {
     lost_ = 0;
     lost_seen_ = 0.0;
   }
-  void reset_counters() noexcept {}
   [[nodiscard]] util::DataRate next_rate(const Report& fb, const net::RateSample& s) noexcept {
     if (fb.mean_interval > lost_seen_) {
       lost_seen_ = fb.mean_interval;

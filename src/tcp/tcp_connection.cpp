@@ -29,12 +29,6 @@ void TcpConnection::start(double at) {
   });
 }
 
-void TcpConnection::stop() {
-  snd_.running = false;
-  rto_timer_.cancel();
-  delack_timer_.cancel();
-}
-
 void TcpConnection::open(std::uint64_t transfer_packets, CompletionFn on_complete) {
   if (transfer_packets >
       static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) {
@@ -48,13 +42,6 @@ void TcpConnection::open(std::uint64_t transfer_packets, CompletionFn on_complet
   snd_.running = true;
   try_send();
   arm_rto();
-}
-
-void TcpConnection::close() {
-  snd_.running = false;
-  rto_timer_.cancel();
-  delack_timer_.cancel();
-  done_ = CompletionFn{};
 }
 
 void TcpConnection::finish_transfer() {
@@ -82,13 +69,6 @@ void TcpConnection::reset_transfer_state() {
   delack_timer_.cancel();
   out_of_order_.clear();  // capacity retained — reuse allocates nothing
   recorder_.set_rtt_window(base_rtt_s_);
-}
-
-void TcpConnection::reset_counters() {
-  sent_ = 0;
-  delivered_ = 0;
-  timeouts_ = 0;
-  fast_retx_ = 0;
 }
 
 // --------------------------------------------------------------- sender ----

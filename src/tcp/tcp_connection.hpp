@@ -48,26 +48,23 @@ class TcpConnection {
   TcpConnection& operator=(const TcpConnection&) = delete;
 
   void start(double at);
-  void stop();
 
-  // --- pooled lifecycle (dynamic workloads) --------------------------------
+  // --- pooled lifecycle (workload::Sender) ---------------------------------
   //
-  // Same contract as TfrcConnection: construct once per pool slot, open()
-  // per transfer. open() rewinds the congestion/sequencing/RTT-estimator
-  // state to a fresh connection's while cumulative counters and the
-  // loss-event recorder keep accumulating. Timers are LazyTimers — close()
-  // cancels them and any stale kernel event dies against `snd_.running`. The
-  // pool quarantines retired slots for a drain interval, so no packet of a
+  // Same contract as the paced transport: construct once per pool slot,
+  // open() per transfer. open() rewinds the congestion/sequencing/
+  // RTT-estimator state to a fresh connection's while cumulative counters
+  // and the loss-event recorder keep accumulating. finish_transfer retires
+  // the flow when the final byte is acknowledged: it cancels the LazyTimers,
+  // and any stale kernel event dies against `snd_.running`. The pool
+  // quarantines retired slots for a drain interval, so no packet of a
   // previous transfer can reach the next incarnation.
 
-  /// (Re)opens the connection for a reliable transfer of `transfer_packets`
-  /// data packets (0 = unbounded greedy source). The first window is sent
-  /// at the current simulated time; `on_complete` fires once, when the
-  /// final byte is cumulatively acknowledged.
+  /// Opens a retired (or never started) connection for a reliable transfer
+  /// of `transfer_packets` data packets (0 = unbounded greedy source). The
+  /// first window is sent at the current simulated time; `on_complete`
+  /// fires once, when the final byte is cumulatively acknowledged.
   void open(std::uint64_t transfer_packets, CompletionFn on_complete = {});
-
-  /// Retires the flow (timers cancelled, completion dropped, counters kept).
-  void close();
 
   [[nodiscard]] bool active() const noexcept { return snd_.running; }
   [[nodiscard]] std::uint64_t transfers_completed() const noexcept {
@@ -89,8 +86,6 @@ class TcpConnection {
   /// Queuing-delay telemetry (Sender concept): loss-based TCP reports none.
   [[nodiscard]] double queuing_delay_sum_s() const noexcept { return 0.0; }
   [[nodiscard]] std::uint64_t queuing_delay_samples() const noexcept { return 0; }
-  /// Resets counters (recorder excepted) at the end of warm-up.
-  void reset_counters();
 
  private:
   // sender side

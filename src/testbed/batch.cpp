@@ -689,10 +689,6 @@ std::vector<ExperimentResult> BatchRunner::run(const std::vector<Scenario>& scen
   return out;
 }
 
-BatchResult BatchRunner::run_aggregate(const std::vector<Scenario>& scenarios) const {
-  return aggregate(run(scenarios));
-}
-
 // ---- sweep summaries ---------------------------------------------------------
 
 BatchResult merge_batch_results(const std::vector<BatchResult>& parts) {
@@ -807,8 +803,8 @@ void save_failure_manifest(const std::vector<CellFailure>& failures,
   for (const auto& f : failures) {
     std::string name = f.scenario;
     for (char& c : name) {
-      // The loader tokenizes on whitespace; any control character (operator>>
-      // treats \v and \f as whitespace too) would shear the line apart.
+      // Readers split the line on whitespace; any control character
+      // (operator>> treats \v and \f as whitespace too) would shear it apart.
       const auto u = static_cast<unsigned char>(c);
       if (u <= 0x20 || u == 0x7f) c = '_';
     }
@@ -824,60 +820,6 @@ void save_failure_manifest(const std::vector<CellFailure>& failures,
   if (!out.flush()) {
     throw std::runtime_error("save_failure_manifest: write failed for " + path.string());
   }
-}
-
-std::vector<CellFailure> load_failure_manifest(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("load_failure_manifest: cannot open " + path.string());
-  std::string header;
-  std::getline(in, header);
-  if (header != "ebrc-failure-manifest v2") {
-    throw std::invalid_argument("load_failure_manifest: " + path.string() +
-                                " is not a v2 failure manifest");
-  }
-  std::string count_line;
-  std::getline(in, count_line);
-  std::istringstream count_fields(count_line);
-  std::string count_tag;
-  std::uint64_t declared = 0;
-  count_fields >> count_tag >> declared;
-  if (count_tag != "failures" || count_fields.fail()) {
-    throw std::invalid_argument("load_failure_manifest: missing 'failures' line in " +
-                                path.string());
-  }
-
-  std::vector<CellFailure> out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string cell_tag, seed_tag, shard_tag, attempts_tag, timed_tag, crashed_tag,
-        signal_tag, elapsed_tag, scenario_tag, what_tag;
-    CellFailure f;
-    int timed = 0;
-    int crashed = 0;
-    fields >> cell_tag >> f.index >> seed_tag >> f.seed >> shard_tag >> f.shard >>
-        attempts_tag >> f.attempts >> timed_tag >> timed >> crashed_tag >> crashed >>
-        signal_tag >> f.signal >> elapsed_tag >> f.elapsed_s >> scenario_tag >> f.scenario >>
-        what_tag;
-    if (fields.fail() || cell_tag != "cell" || seed_tag != "seed" || shard_tag != "shard" ||
-        attempts_tag != "attempts" || timed_tag != "timed_out" || crashed_tag != "crashed" ||
-        signal_tag != "signal" || elapsed_tag != "elapsed_s" || scenario_tag != "scenario" ||
-        what_tag != "what") {
-      throw std::invalid_argument("load_failure_manifest: malformed line '" + line + "'");
-    }
-    f.timed_out = timed != 0;
-    f.crashed = crashed != 0;
-    std::getline(fields, f.what);
-    if (!f.what.empty() && f.what.front() == ' ') f.what.erase(0, 1);
-    out.push_back(std::move(f));
-  }
-  if (out.size() != declared) {
-    throw std::invalid_argument("load_failure_manifest: " + path.string() + " declares " +
-                                std::to_string(declared) + " failures but lists " +
-                                std::to_string(out.size()));
-  }
-  return out;
 }
 
 }  // namespace ebrc::testbed

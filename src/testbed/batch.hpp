@@ -2,11 +2,11 @@
 // across a bounded team of worker threads and aggregates the per-run
 // metrics. Workers are spawned per run()/map() call and joined before it
 // returns — there is no persistent pool, so a BatchRunner is cheap to
-// construct and carries no state beyond its job count. Every run owns its Simulator and Rng, and every Scenario carries a
-// seed assigned BEFORE the batch is launched (see replicate() and the sweep
-// generators in scenario_registry.hpp), so per-run results are bit-identical
-// regardless of how many workers the pool has — --jobs only changes
-// wall-clock time, never numbers.
+// construct and carries no state beyond its job count. Every run owns its
+// Simulator and Rng, and every Scenario carries a seed assigned BEFORE the
+// batch is launched (see replicate() and replicate_paired()), so per-run
+// results are bit-identical regardless of how many workers the pool has —
+// --jobs only changes wall-clock time, never numbers.
 #pragma once
 
 #include <atomic>
@@ -226,9 +226,6 @@ class BatchRunner {
                                                   SweepReport* report = nullptr,
                                                   const RunPolicy& policy = {}) const;
 
-  /// run() followed by aggregate().
-  [[nodiscard]] BatchResult run_aggregate(const std::vector<Scenario>& scenarios) const;
-
   /// Deterministic parallel map: evaluates fn(i) for i in [0, n) across the
   /// pool and returns the results in index order. fn must be self-contained
   /// (its own Simulator/Rng/loss process) — it runs concurrently with other
@@ -275,15 +272,16 @@ class BatchRunner {
 void save_batch_result(const BatchResult& result, const std::filesystem::path& path);
 [[nodiscard]] BatchResult load_batch_result(const std::filesystem::path& path);
 
-/// Text round-trip for the failure manifest a keep_going sweep writes next
-/// to --summary-out (one "cell <index> seed <seed> shard <shard> attempts
-/// <n> timed_out <0|1> crashed <0|1> signal <n> elapsed_s <s> scenario
-/// <name> what <message...>" line per failure; whitespace and control
-/// characters in scenario names are sanitized to '_', the message keeps the
-/// rest of the line with newlines flattened). load throws on unreadable or
-/// malformed files.
+/// Writes the failure manifest a keep_going sweep leaves next to
+/// --summary-out: a "ebrc-failure-manifest v2" header, a "failures <n>"
+/// line, then one "cell <index> seed <seed> shard <shard> attempts <n>
+/// timed_out <0|1> crashed <0|1> signal <n> elapsed_s <s> scenario <name>
+/// what <message...>" line per failure. Whitespace and control characters
+/// in scenario names are sanitized to '_', so every field up to the message
+/// splits on whitespace; the message keeps the rest of the line with
+/// newlines flattened. Throws std::runtime_error if the file cannot be
+/// written.
 void save_failure_manifest(const std::vector<CellFailure>& failures,
                            const std::filesystem::path& path);
-[[nodiscard]] std::vector<CellFailure> load_failure_manifest(const std::filesystem::path& path);
 
 }  // namespace ebrc::testbed

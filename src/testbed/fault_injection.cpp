@@ -13,7 +13,6 @@ namespace {
 std::mutex g_mu;
 std::vector<Injection> g_plan;          // written under g_mu, read lock-free
 std::atomic<bool> g_armed{false};       // fast-path gate + publish fence
-std::atomic<std::uint64_t> g_fired{0};
 
 [[nodiscard]] std::uint64_t parse_u64(std::string_view token, const std::string& context) {
   std::uint64_t v = 0;
@@ -84,7 +83,6 @@ std::atomic<std::uint64_t> g_fired{0};
 void arm(std::vector<Injection> plan) {
   std::lock_guard<std::mutex> lock(g_mu);
   g_plan = std::move(plan);
-  g_fired.store(0, std::memory_order_relaxed);
   g_armed.store(!g_plan.empty(), std::memory_order_release);
 }
 
@@ -105,13 +103,10 @@ bool fire(Kind kind, std::uint64_t key, int attempt) {
     if (kind != Kind::kTornCacheWrite && kind != Kind::kTornIndexRecord) {
       if (inj.attempt != kEveryAttempt && inj.attempt != attempt) continue;
     }
-    g_fired.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
   return false;
 }
-
-std::uint64_t fired() noexcept { return g_fired.load(std::memory_order_relaxed); }
 
 std::vector<Injection> parse_plan(const std::string& spec) {
   std::vector<Injection> plan;

@@ -89,11 +89,8 @@ void disarm();
 [[nodiscard]] bool armed() noexcept;
 
 /// True when the armed plan contains a matching injection — the caller must
-/// then inject the fault. Counts each match. Disarmed: always false.
+/// then inject the fault. Disarmed: always false.
 [[nodiscard]] bool fire(Kind kind, std::uint64_t key, int attempt = 0);
-
-/// Total injections fired since the last arm().
-[[nodiscard]] std::uint64_t fired() noexcept;
 
 /// Parses the --inject-faults spec syntax documented above. Throws
 /// std::invalid_argument naming the offending token on malformed input.

@@ -87,10 +87,6 @@ IsolationMode isolation_from(const std::string& name) {
                               "' (valid: none, process)");
 }
 
-const char* isolation_name(IsolationMode mode) noexcept {
-  return mode == IsolationMode::kProcess ? "process" : "none";
-}
-
 std::string signal_name(int sig) {
   switch (sig) {
     case SIGHUP: return "SIGHUP";

@@ -72,9 +72,6 @@ enum class IsolationMode {
 /// std::invalid_argument naming the valid values on anything else.
 [[nodiscard]] IsolationMode isolation_from(const std::string& name);
 
-/// Inverse of isolation_from, for diagnostics.
-[[nodiscard]] const char* isolation_name(IsolationMode mode) noexcept;
-
 /// Limits the supervisor enforces on one worker.
 struct WorkerLimits {
   /// Hard wall-clock deadline in seconds; <= 0 disables the kill. Unlike the

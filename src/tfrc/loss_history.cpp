@@ -5,9 +5,6 @@
 
 namespace ebrc::tfrc {
 
-LossHistory::LossHistory(std::vector<double> weights, bool comprehensive, bool discounting)
-    : estimator_(std::move(weights)), comprehensive_(comprehensive), discounting_(discounting) {}
-
 LossHistory::LossHistory(std::shared_ptr<const std::vector<double>> weights, bool comprehensive,
                          bool discounting)
     : estimator_(std::move(weights)), comprehensive_(comprehensive), discounting_(discounting) {}

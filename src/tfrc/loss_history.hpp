@@ -18,15 +18,14 @@ namespace ebrc::tfrc {
 
 class LossHistory {
  public:
-  /// `weights`: the moving-average profile (normally core::tfrc_weights(L)).
+  /// `weights`: the moving-average profile, shared and immutable (normally
+  /// core::shared_tfrc_weights(L)).
   /// `comprehensive`: include the open interval (TFRC default). The paper's
   /// lab runs disable it to isolate the basic control.
   /// `discounting`: RFC 3448 Section 5.5 history discounting — when the open
   /// interval exceeds twice the average, older intervals are de-weighted by
   /// max(0.5, 2 I_mean / I_0) so the rate recovers faster after a loss-free
   /// stretch (an extension the paper's analysis deliberately omits).
-  LossHistory(std::vector<double> weights, bool comprehensive, bool discounting = false);
-  /// Same, over a shared immutable profile (core::shared_tfrc_weights).
   LossHistory(std::shared_ptr<const std::vector<double>> weights, bool comprehensive,
               bool discounting = false);
 

@@ -70,7 +70,6 @@ class TfrcLaw {
     saw_loss_ = false;
     history_.reset();
   }
-  void reset_counters() noexcept {}
   [[nodiscard]] util::DataRate next_rate(const Report& fb, const net::RateSample& s);
   void on_data(const net::Packet& /*p*/, std::int64_t missing, double now,
                const net::PacedReceiver& rcv, util::DataRate sender_rate) {

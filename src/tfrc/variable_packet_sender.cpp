@@ -24,7 +24,6 @@ VariablePacketSender::VariablePacketSender(
 }
 
 void VariablePacketSender::start(double at) {
-  running_ = true;
   sim_.schedule_at(at, [this] { tick(); });
 }
 
@@ -43,7 +42,6 @@ double VariablePacketSender::current_rate() const {
 }
 
 void VariablePacketSender::tick() {
-  if (!running_) return;
   const double now = sim_.now();
   const double rate = current_rate();
   rate_avg_.set(now, rate);

@@ -39,7 +39,6 @@ class VariablePacketSender {
                        VariablePacketConfig cfg = {});
 
   void start(double at);
-  void stop() { running_ = false; }
   /// Discards accumulated measurements (call at the end of warm-up).
   void reset_measurement();
 
@@ -64,7 +63,6 @@ class VariablePacketSender {
   std::shared_ptr<const model::ThroughputFunction> f_;
   VariablePacketConfig cfg_;
   core::MovingAverageEstimator estimator_;
-  bool running_ = false;
   bool seeded_ = false;
   double open_packets_ = 0.0;
   double last_event_time_ = -1.0;

@@ -27,14 +27,4 @@ void CsvWriter::row(const std::vector<double>& values) {
   ++rows_;
 }
 
-void CsvWriter::raw_row(const std::vector<std::string>& cells) {
-  if (cells.size() != arity_) throw std::invalid_argument("CsvWriter: row arity mismatch");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << cells[i];
-  }
-  out_ << '\n';
-  ++rows_;
-}
-
 }  // namespace ebrc::util

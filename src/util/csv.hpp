@@ -19,9 +19,6 @@ class CsvWriter {
   /// Appends one row; must have the same arity as the header.
   void row(const std::vector<double>& values);
 
-  /// Appends a mixed row of preformatted cells.
-  void raw_row(const std::vector<std::string>& cells);
-
   /// Number of data rows written so far.
   [[nodiscard]] std::size_t rows_written() const noexcept { return rows_; }
 

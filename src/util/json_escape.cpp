@@ -27,11 +27,4 @@ void json_escape_into(std::string& out, std::string_view s) {
   }
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  json_escape_into(out, s);
-  return out;
-}
-
 }  // namespace ebrc::util

@@ -16,7 +16,4 @@ namespace ebrc::util {
 /// Appends the escaped form of `s` to `out` (no surrounding quotes).
 void json_escape_into(std::string& out, std::string_view s);
 
-/// Convenience form returning the escaped copy.
-[[nodiscard]] std::string json_escape(std::string_view s);
-
 }  // namespace ebrc::util

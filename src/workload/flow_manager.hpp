@@ -24,7 +24,7 @@
 // queue, the tail pipe, or the reverse path must not reach the slot's next
 // incarnation (the connections reset their sequencing state at open, so a
 // stale packet arriving before the quarantine expires lands in the OLD
-// incarnation's tolerant, closed state instead). The drain bound is
+// incarnation's tolerant, retired state instead). The drain bound is
 // computed by the caller from the scenario's worst-case path residency.
 //
 // Determinism: all draws come from strictly event-ordered callbacks inside

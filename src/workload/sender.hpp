@@ -1,4 +1,4 @@
-// The Sender concept: the contract every controller in the zoo satisfies.
+// The Sender concept: what workload::FlowManager needs from a controller.
 //
 // Two transports implement it. TCP (tcp::TcpConnection) is ACK-clocked and
 // window-based. Every rate-based controller — TFRC, delay-AIMD, RCP and the
@@ -8,18 +8,20 @@
 // receiver report to a new rate.
 //
 // A Sender is constructed ONCE per pool slot (handlers and pinned events are
-// permanent, the object is address-stable) and then cycled through
-// open()/close() per transfer: open() rewinds per-transfer POD state while
-// cumulative measurement counters survive, close() retires the flow with
-// pacing/feedback chains dying lazily, each at its next firing, against the
-// running flag. A paced receiver's feedback chain only fires while there is
-// something to report: idle, it parks with no kernel event pending, and
-// close() unparks it onto its next tick so it dies the same way. The pool
-// quarantines retired slots for a drain interval before reuse.
+// permanent, the object is address-stable) and then open()ed per transfer:
+// open() rewinds per-transfer POD state while cumulative measurement
+// counters survive. The transfer ends in finish_transfer, which runs the
+// completion callback; the flow's kernel chains then die lazily, each at its
+// next firing, against the running flag. A paced receiver's feedback chain
+// only fires while there is something to report: idle, it parks with no
+// kernel event pending, and finish_transfer unparks it onto its next tick so
+// it dies the same way. The pool quarantines retired slots for a drain
+// interval before reuse.
 //
-// The concept is structural and checked at compile time for every class in
-// workload::ClassConnections (flow_pools.hpp), so a controller that forgets
-// part of the lifecycle fails the build, not a 3 a.m. sweep.
+// The concept lists exactly the calls the pool makes, and is checked at
+// compile time for every class in workload::ClassConnections
+// (flow_pools.hpp), so a controller that lacks one fails the build, not a
+// 3 a.m. sweep.
 #pragma once
 
 #include <concepts>
@@ -27,7 +29,6 @@
 
 #include "sim/inline_function.hpp"
 #include "stats/loss_events.hpp"
-#include "stats/online.hpp"
 
 namespace ebrc::workload {
 
@@ -35,26 +36,16 @@ namespace ebrc::workload {
 using CompletionFn = sim::InlineFunction<void(), 24>;
 
 template <typename S>
-concept Sender = requires(S s, const S cs, double at, std::uint64_t n, CompletionFn done) {
-  // continuous-source control (figure experiments)
-  s.start(at);
-  s.stop();
-  // pooled per-transfer lifecycle (dynamic workloads)
+concept Sender = requires(S s, const S cs, std::uint64_t n, CompletionFn done) {
+  // per-transfer lifecycle: `done` fires once, when the transfer completes
   s.open(n, std::move(done));
-  s.close();
-  { cs.active() } -> std::convertible_to<bool>;
-  { cs.transfers_completed() } -> std::convertible_to<std::uint64_t>;
-  // measurement surface the workload/testbed layers aggregate over
+  // measurement surface the pool aggregates over each epoch
   { cs.recorder() } -> std::convertible_to<const stats::LossEventRecorder&>;
   { cs.delivered() } -> std::convertible_to<std::uint64_t>;
-  { cs.sent() } -> std::convertible_to<std::uint64_t>;
-  { cs.srtt() } -> std::convertible_to<double>;
-  { cs.rtt_stats() } -> std::convertible_to<const stats::OnlineMoments&>;
   // queuing-delay telemetry: delay-sensing controllers report (sum, count)
   // of per-RTT queuing-delay samples; loss-based ones report zero samples.
   { cs.queuing_delay_sum_s() } -> std::convertible_to<double>;
   { cs.queuing_delay_samples() } -> std::convertible_to<std::uint64_t>;
-  s.reset_counters();
 };
 
 }  // namespace ebrc::workload

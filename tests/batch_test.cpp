@@ -15,7 +15,7 @@
 #include "stats/online.hpp"
 #include "testbed/batch.hpp"
 #include "testbed/experiment.hpp"
-#include "testbed/scenario_registry.hpp"
+#include "testbed/wan_paths.hpp"
 #include "util/binary_io.hpp"
 
 namespace {
@@ -24,7 +24,6 @@ using ebrc::stats::OnlineMoments;
 using ebrc::testbed::BatchRunner;
 using ebrc::testbed::ExperimentResult;
 using ebrc::testbed::Scenario;
-using ebrc::testbed::ScenarioRegistry;
 using ebrc::testbed::ShardSpec;
 
 Scenario short_ns2(std::uint64_t seed) {
@@ -231,25 +230,28 @@ TEST(Replicate, RejectsNonPositiveReps) {
   EXPECT_THROW((void)ebrc::testbed::replicate(short_ns2(0), 1, 0), std::invalid_argument);
 }
 
-TEST(ScenarioRegistry, BuiltinNamesConstructAndRun) {
-  // Registry round-trip: every registered scenario constructs and completes
-  // a short horizon through the batch engine.
-  const auto& reg = ScenarioRegistry::builtin();
-  const auto names = reg.names();
-  ASSERT_GE(names.size(), 8u);
-  EXPECT_TRUE(reg.contains("ns2"));
-  EXPECT_TRUE(reg.contains("lab-red"));
-  EXPECT_TRUE(reg.contains("wan-umelb"));
-
-  std::vector<Scenario> batch;
-  for (const auto& name : names) {
-    auto s = reg.make(name, /*seed=*/7);
+TEST(ScenarioFactories, EveryFactoryConstructsAndRuns) {
+  // Every scenario factory the figure binaries build batches from
+  // constructs and completes a short horizon through the batch engine.
+  using ebrc::testbed::QueueKind;
+  std::vector<Scenario> batch{
+      ebrc::testbed::ns2_scenario(1, 1, 8, /*seed=*/7),
+      ebrc::testbed::lab_scenario(QueueKind::kDropTail, 64, 1, 7),
+      ebrc::testbed::lab_scenario(QueueKind::kDropTail, 100, 1, 7),
+      ebrc::testbed::lab_scenario(QueueKind::kRed, 100, 1, 7),
+      ebrc::testbed::churn_scenario(0.85, 0.5, 7),
+      ebrc::testbed::churn_scenario(1.2, 0.5, 7),
+  };
+  for (const auto& path : ebrc::testbed::table1_paths()) {
+    batch.push_back(ebrc::testbed::wan_scenario(path, 1, 7));
+  }
+  ASSERT_GE(batch.size(), 8u);
+  for (auto& s : batch) {
     s.duration_s = 4.0;
     s.warmup_s = 1.0;
-    batch.push_back(std::move(s));
   }
   const auto results = BatchRunner(4).run(batch);
-  ASSERT_EQ(results.size(), names.size());
+  ASSERT_EQ(results.size(), batch.size());
   for (const auto& r : results) {
     EXPECT_FALSE(r.scenario_name.empty());
     if (r.workload_active) {
@@ -259,49 +261,6 @@ TEST(ScenarioRegistry, BuiltinNamesConstructAndRun) {
       EXPECT_FALSE(r.flows.empty());
     }
     EXPECT_GT(r.bottleneck_utilization, 0.0);
-  }
-}
-
-TEST(ScenarioRegistry, UnknownNameListsRegistered) {
-  try {
-    (void)ScenarioRegistry::builtin().make("nope", 1);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("nope"), std::string::npos);
-    EXPECT_NE(msg.find("ns2"), std::string::npos);
-  }
-}
-
-TEST(ScenarioRegistry, RejectsDuplicatesAndNullFactories) {
-  ScenarioRegistry reg;
-  reg.add("a", "first", [](std::uint64_t seed) { return short_ns2(seed); });
-  EXPECT_THROW(reg.add("a", "again", [](std::uint64_t seed) { return short_ns2(seed); }),
-               std::invalid_argument);
-  EXPECT_THROW(reg.add("b", "null", nullptr), std::invalid_argument);
-}
-
-TEST(ScenarioRegistry, SweepExpandsNamesByReps) {
-  const auto& reg = ScenarioRegistry::builtin();
-  const auto batch = ebrc::testbed::sweep(reg, {"ns2", "lab-red"}, /*root_seed=*/5, /*reps=*/3);
-  ASSERT_EQ(batch.size(), 6u);
-  std::set<std::uint64_t> seeds;
-  for (const auto& s : batch) seeds.insert(s.seed);
-  EXPECT_EQ(seeds.size(), 6u);  // every (name, rep) pair gets its own stream
-  EXPECT_EQ(batch[0].name, batch[1].name);
-  EXPECT_NE(batch[0].name, batch[3].name);
-}
-
-TEST(ScenarioRegistry, SweepSeedsMatchReplicateForTheSameScenario) {
-  // The two batch entry points must key seeds identically, or the planned
-  // (scenario, seed) result cache would miss on equivalent runs.
-  const auto& reg = ScenarioRegistry::builtin();
-  const auto via_sweep = ebrc::testbed::sweep(reg, {"ns2"}, 42, 3);
-  const auto via_replicate = ebrc::testbed::replicate(reg.make("ns2", 0), 42, 3);
-  ASSERT_EQ(via_sweep.size(), via_replicate.size());
-  for (std::size_t i = 0; i < via_sweep.size(); ++i) {
-    EXPECT_EQ(via_sweep[i].seed, via_replicate[i].seed);
-    EXPECT_EQ(via_sweep[i].name, via_replicate[i].name);
   }
 }
 
@@ -485,19 +444,6 @@ TEST(BatchResult, SummaryFileRoundTripIsExact) {
   EXPECT_THROW((void)ebrc::testbed::load_batch_result(bad), std::invalid_argument);
   fs::remove(bad);
   EXPECT_THROW((void)ebrc::testbed::load_batch_result(bad), std::runtime_error);
-}
-
-TEST(ScenarioRegistry, GridSweepAppliesValuesDeterministically) {
-  const auto& reg = ScenarioRegistry::builtin();
-  const auto apply = [](Scenario& s, double v) { s.n_tcp = static_cast<int>(v); };
-  const auto a = ebrc::testbed::grid_sweep(reg, "ns2", 9, 2, {1.0, 4.0}, apply);
-  const auto b = ebrc::testbed::grid_sweep(reg, "ns2", 9, 2, {1.0, 4.0}, apply);
-  ASSERT_EQ(a.size(), 4u);  // value-major: index = v * reps + rep
-  EXPECT_EQ(a[0].n_tcp, 1);
-  EXPECT_EQ(a[3].n_tcp, 4);
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].seed, b[i].seed);
-  EXPECT_NE(a[0].seed, a[1].seed);
-  EXPECT_NE(a[1].seed, a[2].seed);
 }
 
 }  // namespace

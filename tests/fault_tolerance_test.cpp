@@ -128,7 +128,7 @@ TEST(FaultInjection, PlanSpecParsesAndRejectsMalformedInput) {
   EXPECT_THROW((void)fault::parse_plan("torn-index@0:*"), std::invalid_argument);
 }
 
-TEST(FaultInjection, FireMatchesKeyAndAttemptAndCounts) {
+TEST(FaultInjection, FireMatchesKeyAndAttempt) {
   FaultGuard guard;
   fault::arm({{fault::Kind::kThrow, 2, 0},
               {fault::Kind::kThrow, 5, fault::kEveryAttempt},
@@ -141,7 +141,6 @@ TEST(FaultInjection, FireMatchesKeyAndAttemptAndCounts) {
   EXPECT_TRUE(fault::fire(fault::Kind::kThrow, 5, 3));
   EXPECT_FALSE(fault::fire(fault::Kind::kHang, 2, 0));  // wrong kind
   EXPECT_TRUE(fault::fire(fault::Kind::kTornCacheWrite, 1));
-  EXPECT_EQ(fault::fired(), 4u);
 
   fault::disarm();
   EXPECT_FALSE(fault::armed());
@@ -342,7 +341,15 @@ TEST(FaultTolerance, FailFastNamesTheFailingCell) {
   }
 }
 
-TEST(FaultTolerance, FailureManifestRoundTripsAndSanitizes) {
+/// The lines of a text file, without their newlines.
+std::vector<std::string> read_lines(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(FaultTolerance, FailureManifestSanitizesNamesAndFlattensMessages) {
   TempDir dir;
   std::vector<CellFailure> failures(2);
   failures[0].index = 3;
@@ -361,25 +368,22 @@ TEST(FaultTolerance, FailureManifestRoundTripsAndSanitizes) {
 
   const fs::path path = dir.path / "sweep.failures";
   ebrc::testbed::save_failure_manifest(failures, path);
-  const auto loaded = ebrc::testbed::load_failure_manifest(path);
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[0].index, 3u);
-  EXPECT_EQ(loaded[0].scenario, "grid_cell_p=0.01_rtt=0.1");
-  EXPECT_EQ(loaded[0].seed, failures[0].seed);
-  EXPECT_EQ(loaded[0].shard, 1u);
-  EXPECT_EQ(loaded[0].attempts, 3);
-  EXPECT_TRUE(loaded[0].timed_out);
-  EXPECT_EQ(loaded[0].what, "line one line two");
-  EXPECT_EQ(loaded[1].index, 7u);
-  EXPECT_EQ(loaded[1].scenario, "clean-name");
-  EXPECT_EQ(loaded[1].what, "std::bad_alloc");
-  EXPECT_FALSE(loaded[1].timed_out);
+  const std::vector<std::string> expected{
+      "ebrc-failure-manifest v2",
+      "failures 2",
+      "cell 3 seed " + std::to_string(failures[0].seed) +
+          " shard 1 attempts 3 timed_out 1 crashed 0 signal 0 elapsed_s 12.5"
+          " scenario grid_cell_p=0.01_rtt=0.1 what line one line two",
+      "cell 7 seed 42 shard 0 attempts 1 timed_out 0 crashed 0 signal 0 elapsed_s 0.0"
+      " scenario clean-name what std::bad_alloc",
+  };
+  EXPECT_EQ(read_lines(path), expected);
 
-  EXPECT_THROW((void)ebrc::testbed::load_failure_manifest(dir.path / "absent"),
+  EXPECT_THROW(ebrc::testbed::save_failure_manifest(failures, dir.path / "absent" / "x"),
                std::runtime_error);
 }
 
-TEST(FaultTolerance, FailureManifestRoundTripsCrashFieldsAndControlChars) {
+TEST(FaultTolerance, FailureManifestWritesCrashFieldsAndFlattensControlChars) {
   TempDir dir;
   std::vector<CellFailure> failures(2);
   failures[0].index = 2;
@@ -400,24 +404,22 @@ TEST(FaultTolerance, FailureManifestRoundTripsCrashFieldsAndControlChars) {
 
   const fs::path path = dir.path / "sweep.failures";
   ebrc::testbed::save_failure_manifest(failures, path);
-  const auto loaded = ebrc::testbed::load_failure_manifest(path);
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[0].scenario, "evil_name_with|pipe_and_newline");
-  EXPECT_TRUE(loaded[0].crashed);
-  EXPECT_EQ(loaded[0].signal, 11);
-  EXPECT_FALSE(loaded[0].timed_out);
-  EXPECT_EQ(loaded[0].what, "crashed: SIGSEGV");
-  EXPECT_TRUE(loaded[1].timed_out);
-  EXPECT_FALSE(loaded[1].crashed);
-  EXPECT_EQ(loaded[1].signal, 9);
+  const std::vector<std::string> lines = read_lines(path);
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[2],
+            "cell 2 seed 99 shard 0 attempts 2 timed_out 0 crashed 1 signal 11 elapsed_s 0.0"
+            " scenario evil_name_with|pipe_and_newline what crashed: SIGSEGV");
+  EXPECT_EQ(lines[3],
+            "cell 5 seed 0 shard 0 attempts 1 timed_out 1 crashed 0 signal 9 elapsed_s 0.0"
+            " scenario hung-cell what killed at the cell deadline");
 }
 
-TEST(FaultTolerance, EmptyFailureManifestRoundTripsAsEmpty) {
+TEST(FaultTolerance, EmptyFailureManifestHasOnlyTheHeader) {
   TempDir dir;
   const fs::path path = dir.path / "clean.failures";
   ebrc::testbed::save_failure_manifest({}, path);
-  const auto loaded = ebrc::testbed::load_failure_manifest(path);
-  EXPECT_TRUE(loaded.empty());
+  EXPECT_EQ(read_lines(path),
+            (std::vector<std::string>{"ebrc-failure-manifest v2", "failures 0"}));
 }
 
 // ---- process isolation ------------------------------------------------------

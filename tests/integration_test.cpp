@@ -54,7 +54,7 @@ TEST(Integration, LossHistoryAgreesWithCoreEstimatorOnATrace) {
   // the core MovingAverageEstimator must report the same closed-history
   // average, and the same open-interval behavior.
   const auto weights = core::tfrc_weights(8);
-  tfrc::LossHistory hist(weights, /*comprehensive=*/true);
+  tfrc::LossHistory hist(core::shared_tfrc_weights(8), /*comprehensive=*/true);
   core::MovingAverageEstimator est(weights);
 
   const double rtt = 0.05;

@@ -1,4 +1,4 @@
-// util::json_escape — the one escaper behind the JSONL event feed and the
+// util::json_escape_into — the one escaper behind the JSONL event feed and the
 // chrome://tracing writer:
 //   * every mandatory JSON escape (quote, backslash, all 32 control bytes),
 //   * UTF-8 passthrough,
@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "test_support.hpp"
@@ -23,26 +24,32 @@ namespace {
 namespace fs = std::filesystem;
 
 using ebrc::util::doc_find;
-using ebrc::util::json_escape;
 using ebrc::util::json_escape_into;
 using ebrc::util::parse_json;
 
+/// The escaped form of `s` alone.
+std::string escaped(std::string_view s) {
+  std::string out;
+  json_escape_into(out, s);
+  return out;
+}
+
 TEST(JsonEscapeTest, EscapesQuotesBackslashesAndNamedControls) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(json_escape("a\rb"), "a\\rb");
-  EXPECT_EQ(json_escape("a\tb"), "a\\tb");
-  EXPECT_EQ(json_escape("a\bb"), "a\\bb");
-  EXPECT_EQ(json_escape("a\fb"), "a\\fb");
+  EXPECT_EQ(escaped("plain"), "plain");
+  EXPECT_EQ(escaped("a\"b"), "a\\\"b");
+  EXPECT_EQ(escaped("a\\b"), "a\\\\b");
+  EXPECT_EQ(escaped("a\nb"), "a\\nb");
+  EXPECT_EQ(escaped("a\rb"), "a\\rb");
+  EXPECT_EQ(escaped("a\tb"), "a\\tb");
+  EXPECT_EQ(escaped("a\bb"), "a\\bb");
+  EXPECT_EQ(escaped("a\fb"), "a\\fb");
 }
 
 TEST(JsonEscapeTest, EscapesEveryControlByteAsU00XX) {
   for (int c = 0; c < 0x20; ++c) {
     if (c == '\n' || c == '\r' || c == '\t' || c == '\b' || c == '\f') continue;
     const std::string in(1, static_cast<char>(c));
-    const std::string out = json_escape(in);
+    const std::string out = escaped(in);
     char expect[8];
     std::snprintf(expect, sizeof(expect), "\\u%04x", c);
     EXPECT_EQ(out, expect) << "control byte " << c;
@@ -51,7 +58,7 @@ TEST(JsonEscapeTest, EscapesEveryControlByteAsU00XX) {
 
 TEST(JsonEscapeTest, PassesUtf8AndHighBytesThrough) {
   const std::string utf8 = "r\xC3\xA9seau \xE2\x86\x92 ok";  // "réseau → ok"
-  EXPECT_EQ(json_escape(utf8), utf8);
+  EXPECT_EQ(escaped(utf8), utf8);
 }
 
 TEST(JsonEscapeTest, AppendsWithoutClobbering) {
@@ -64,7 +71,7 @@ TEST(JsonEscapeTest, RoundTripsThroughParseJson) {
   std::string nasty;
   for (int c = 1; c < 0x20; ++c) nasty += static_cast<char>(c);
   nasty += "\"quoted\" back\\slash r\xC3\xA9seau";
-  const std::string doc = "{\"k\":\"" + json_escape(nasty) + "\"}";
+  const std::string doc = "{\"k\":\"" + escaped(nasty) + "\"}";
   const auto table = parse_json(doc);
   const auto* v = doc_find(table, "k");
   ASSERT_NE(v, nullptr);

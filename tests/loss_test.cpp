@@ -42,14 +42,6 @@ TEST(ShiftedExponential, IntervalsAreIid) {
   }
 }
 
-TEST(Gamma, SupportsHighVariability) {
-  GammaProcess proc(50.0, 1.5, 13);
-  ebrc::stats::OnlineMoments m;
-  for (int i = 0; i < 400000; ++i) m.add(proc.next());
-  EXPECT_NEAR(m.mean(), 50.0, 1.0);
-  EXPECT_NEAR(m.cv(), 1.5, 0.05);
-}
-
 TEST(Ar1, PositiveRhoGivesPositiveLag1Correlation) {
   Ar1Process proc(100.0, 0.4, 0.7, 3);
   ebrc::stats::LaggedAutocovariance ac(2);

@@ -210,14 +210,21 @@ TEST(Red, Validation) {
   EXPECT_THROW((void)Queue::red(bad, 1), std::invalid_argument);
 }
 
+/// Offers `p` to `link` and, if admitted, stages it in `out` until its
+/// transit ends, as Dumbbell does with a flow's tail pipe.
+void offer(Link& link, DelayPipe& out, const Packet& p) {
+  double deliver_at;
+  if (link.forward(p, deliver_at)) out.send_at(p, deliver_at);
+}
+
 TEST(Link, SerializationAndPropagationTiming) {
   Simulator sim;
   std::vector<double> arrivals;
   // 8000-bit packets at 1 Mb/s -> 8 ms serialization; 10 ms propagation.
-  Link link(sim, Queue::drop_tail(100), 1e6, 0.010,
-            [&](const Packet&) { arrivals.push_back(sim.now()); });
-  link.send(data_packet(0));
-  link.send(data_packet(1));  // queued behind packet 0
+  Link link(sim, Queue::drop_tail(100), 1e6, 0.010);
+  DelayPipe out(sim, 0.0, [&](const Packet&) { arrivals.push_back(sim.now()); });
+  offer(link, out, data_packet(0));
+  offer(link, out, data_packet(1));  // queued behind packet 0
   sim.run();
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_NEAR(arrivals[0], 0.018, 1e-9);  // 8 ms + 10 ms
@@ -229,8 +236,9 @@ TEST(Link, OneEventPerForwardedPacket) {
   // The fused serialize+propagate design: N packets through the link cost
   // exactly N simulator events (the old kernel paid 2N).
   Simulator sim;
-  Link link(sim, Queue::drop_tail(1000), 1e6, 0.010, [](const Packet&) {});
-  for (int i = 0; i < 100; ++i) link.send(data_packet(i));
+  Link link(sim, Queue::drop_tail(1000), 1e6, 0.010);
+  DelayPipe out(sim, 0.0);
+  for (int i = 0; i < 100; ++i) offer(link, out, data_packet(i));
   sim.run();
   EXPECT_EQ(link.delivered(), 100u);
   EXPECT_EQ(sim.events_executed(), 100u);
@@ -238,10 +246,11 @@ TEST(Link, OneEventPerForwardedPacket) {
 
 TEST(Link, UtilizationUnderLoad) {
   Simulator sim;
-  Link link(sim, Queue::drop_tail(10000), 1e6, 0.0, [](const Packet&) {});
+  Link link(sim, Queue::drop_tail(10000), 1e6, 0.0);
+  DelayPipe out(sim, 0.0);
   // Offer exactly 50% load: one 1000-B packet every 16 ms against 8 ms tx.
   for (int i = 0; i < 1000; ++i) {
-    sim.schedule_at(i * 0.016, [&link, i] { link.send(data_packet(i)); });
+    sim.schedule_at(i * 0.016, [&link, &out, i] { offer(link, out, data_packet(i)); });
   }
   sim.run();
   EXPECT_NEAR(link.utilization(), 0.5, 0.02);
@@ -347,8 +356,6 @@ TEST(ProbeSender, MeasuresLossOnCongestedLink) {
   ProbeSender probe(net, id, 250.0, 1000.0, ProbePattern::kCbr, 0.01, 3);
   probe.start(0.0);
   sim.run_until(60.0);
-  probe.stop();
-  sim.run_until(61.0);
   EXPECT_GT(probe.sent(), 10000u);
   const double delivered_frac =
       static_cast<double>(probe.received()) / static_cast<double>(probe.sent());

@@ -5,6 +5,7 @@
 // paper's central guarantee, swept over a parameter grid.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/analyzer.hpp"
@@ -88,7 +89,9 @@ TEST_P(WindowMonotonicity, NormalizedThroughputIncreasesWithL) {
 
 INSTANTIATE_TEST_SUITE_P(PSweep, WindowMonotonicity, ::testing::Values(0.02, 0.05, 0.1, 0.2),
                          [](const ::testing::TestParamInfo<double>& info) {
-                           return "p" + std::to_string(int(info.param * 1000));
+                           std::string name = "p";
+                           name += std::to_string(int(info.param * 1000));
+                           return name;
                          });
 
 }  // namespace

@@ -134,17 +134,6 @@ TEST(TcpDetail, NoSpuriousTimeoutsOnCleanPath) {
             w.conn->cwnd() + 2.0);
 }
 
-TEST(TcpDetail, StopCancelsTimers) {
-  TcpWorld w(1e6, 4, 0.050);
-  w.conn->start(0.0);
-  w.sim.run_until(10.0);
-  w.conn->stop();
-  const auto executed = w.sim.events_executed();
-  w.sim.run_until(100.0);
-  // Only residual in-flight deliveries may fire; no sustained activity.
-  EXPECT_LT(w.sim.events_executed() - executed, 500u);
-}
-
 TEST(TcpDetail, DelayedAckRatio) {
   TcpWorld w(8e6, 4000, 0.050);
   w.conn->start(0.0);
@@ -319,45 +308,64 @@ TEST(PacedFeedbackChain, FirstReportAfterIdleStaysOnTheTickGrid) {
   EXPECT_EQ(first_after(ticks, resumed), grid_after(reported, step, resumed));
 }
 
-TEST(PacedFeedbackChain, CloseWhileParkedThenReopenReusesOrKillsTheChain) {
+TEST(PacedFeedbackChain, FinishWhileParkedThenReopenReusesOrKillsTheChain) {
   constexpr double kRtt = BlackoutWorld::kRtt;
-  constexpr double kClose = BlackoutWorld::kBlackoutAt + 3.0;  // well inside the idle span
+  constexpr double kFinishBy = BlackoutWorld::kBlackoutAt + 3.0;  // well inside the idle span
+  // The transfer size whose last packet leaves by kFinishBy: an unbounded
+  // transfer follows the same sample path up to that packet.
+  std::uint64_t transfer = 0;
+  {
+    BlackoutWorld w;
+    w.conn->open(0);
+    w.sim.run_until(kFinishBy);
+    transfer = w.conn->sent();
+  }
   for (const bool reuse : {true, false}) {
     SCOPED_TRACE(reuse ? "reopen before the next tick" : "reopen after it");
     BlackoutWorld w;
-    w.conn->open(0);
-    w.sim.run_until(kClose);
-    ASSERT_TRUE(w.elephant_admitted);
-    const double step = std::max(1e-3, w.conn->srtt());
-    const double last_arrival = w.times(w.tail_pin).back();
-    const double reported = first_after(w.times(w.feedback_pin), last_arrival);
-    ASSERT_GT(reported, 0.0);
-    // The chain's next tick after the close: it finds the flow closed and
-    // ends the chain, unless the flow is open again by then.
-    const double next_tick = grid_after(reported, step, kClose);
-    w.conn->close();
-    const double reopen_at = reuse ? (kClose + next_tick) / 2.0 : next_tick + step / 2.0;
-    w.sim.schedule_at(reopen_at, [&w] { w.conn->open(0); });
+    // finish_transfer retires the flow at its last emission, with the
+    // feedback chain parked. The chain's next tick after that finds the flow
+    // retired and ends the chain, unless the flow is open again by then.
+    struct {
+      double at = 0.0;         // the last emission
+      double step = 0.0;       // the tick step until then
+      double next_tick = 0.0;  // the parked chain's next tick after it
+      double reopen_at = 0.0;
+    } finish;
+    w.conn->open(transfer, [&w, &finish, reuse] {
+      finish.at = w.sim.now();
+      finish.step = std::max(1e-3, w.conn->srtt());
+      const double last_arrival = w.times(w.tail_pin).back();
+      const double reported = first_after(w.times(w.feedback_pin), last_arrival);
+      ASSERT_GT(reported, 0.0);
+      finish.next_tick = grid_after(reported, finish.step, finish.at);
+      finish.reopen_at =
+          reuse ? (finish.at + finish.next_tick) / 2.0 : finish.next_tick + finish.step / 2.0;
+      w.sim.schedule_at(finish.reopen_at, [&w] { w.conn->open(0); });
+    });
     w.sim.run_until(BlackoutWorld::kEnd);
+    ASSERT_TRUE(w.elephant_admitted);
+    ASSERT_GT(finish.at, BlackoutWorld::kBlackoutAt);
+    EXPECT_EQ(w.conn->transfers_completed(), 1u);
 
     const std::vector<double> ticks = w.times(w.feedback_pin);
     const auto [last, resumed] = w.idle_span();
-    ASSERT_LT(last, kClose);
-    ASSERT_GT(resumed, reopen_at);
-    EXPECT_EQ(first_after(ticks, kClose), next_tick);
+    ASSERT_LT(last, finish.at);
+    ASSERT_GT(resumed, finish.reopen_at);
+    EXPECT_EQ(first_after(ticks, finish.at), finish.next_tick);
     if (reuse) {
       // The reused chain ticks on from next_tick, on the reopened
       // transfer's rtt_hint (the base RTT) until data arrives.
-      EXPECT_EQ(first_after(ticks, resumed), grid_after(next_tick, kRtt, resumed));
+      EXPECT_EQ(first_after(ticks, resumed), grid_after(finish.next_tick, kRtt, resumed));
     } else {
       // The chain died at next_tick; the first arrival starts a fresh one,
       // one rtt_hint later. The first packets through were paced out before
-      // the close, so they carry the old srtt.
-      EXPECT_EQ(first_after(ticks, next_tick), resumed + step);
+      // the transfer finished, so they carry the old srtt.
+      EXPECT_EQ(first_after(ticks, finish.next_tick), resumed + finish.step);
     }
     // One chain, never two: ticks stay at least a base RTT apart.
     for (std::size_t i = 1; i < ticks.size(); ++i) {
-      if (ticks[i] > reopen_at) {
+      if (ticks[i] > finish.reopen_at) {
         EXPECT_GE(ticks[i] - ticks[i - 1], kRtt) << "ticks at " << ticks[i - 1] << ", " << ticks[i];
       }
     }

@@ -4,8 +4,6 @@
 
 #include "sim/random.hpp"
 #include "stats/autocovariance.hpp"
-#include "stats/binned.hpp"
-#include "stats/histogram.hpp"
 #include "stats/loss_events.hpp"
 #include "stats/online.hpp"
 #include "stats/time_average.hpp"
@@ -63,22 +61,12 @@ TEST(LaggedAutocovariance, DetectsLagOneStructure) {
   EXPECT_NEAR(ac.correlation_at(1), -1.0, 1e-2);
 }
 
-TEST(LaggedAutocovariance, WeightedSumMatchesEquation11) {
-  LaggedAutocovariance ac(3);
-  ebrc::sim::Rng r(5);
-  for (int i = 0; i < 5000; ++i) ac.add(r.uniform());
-  const std::vector<double> w{0.5, 0.3, 0.2};
-  const double expect = 0.5 * ac.at(1) + 0.3 * ac.at(2) + 0.2 * ac.at(3);
-  EXPECT_DOUBLE_EQ(ac.weighted(w), expect);
-}
-
 TEST(LaggedAutocovariance, Validation) {
   EXPECT_THROW(LaggedAutocovariance(0), std::invalid_argument);
   LaggedAutocovariance ac(2);
   ac.add(1.0);
   EXPECT_THROW((void)ac.at(0), std::out_of_range);
   EXPECT_THROW((void)ac.at(3), std::out_of_range);
-  EXPECT_THROW((void)ac.weighted({1.0, 1.0, 1.0}), std::invalid_argument);
 }
 
 TEST(TimeWeightedAverage, PiecewiseConstant) {
@@ -95,49 +83,6 @@ TEST(TimeWeightedAverage, RejectsBackwardsTime) {
   TimeWeightedAverage a;
   a.start(1.0, 1.0);
   EXPECT_THROW(a.set(0.5, 2.0), std::invalid_argument);
-}
-
-TEST(BinnedSeries, PerBinMeansAndCI) {
-  BinnedSeries b(0.0, 10.0, 5);
-  for (int i = 0; i < 100; ++i) {
-    const double t = i * 0.1;  // covers [0, 10)
-    b.add(t, 1.0);             // constant signal
-  }
-  const auto est = b.estimate();
-  EXPECT_EQ(est.bins, 5u);
-  EXPECT_DOUBLE_EQ(est.mean, 1.0);
-  EXPECT_DOUBLE_EQ(est.half_width, 0.0);
-  // Out-of-window samples are dropped.
-  b.add(-1.0, 100.0);
-  b.add(10.0, 100.0);
-  EXPECT_DOUBLE_EQ(b.estimate().mean, 1.0);
-}
-
-TEST(BinnedSeries, CIWidthBehaves) {
-  const auto est = estimate_from({1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
-  EXPECT_DOUBLE_EQ(est.mean, 3.5);
-  EXPECT_GT(est.half_width, 0.0);
-  EXPECT_LT(est.lo(), est.mean);
-  EXPECT_GT(est.hi(), est.mean);
-}
-
-TEST(StudentT, QuantileTable) {
-  EXPECT_NEAR(t_quantile_975(1), 12.706, 1e-3);
-  EXPECT_NEAR(t_quantile_975(5), 2.571, 1e-3);
-  EXPECT_NEAR(t_quantile_975(100), 1.96, 1e-3);
-}
-
-TEST(Histogram, CountsAndQuantiles) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 1000; ++i) h.add(i % 10 + 0.5);
-  EXPECT_EQ(h.count(), 1000u);
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 0.6);
-  h.add(-5.0);
-  h.add(50.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
 }
 
 TEST(LossEventRecorder, GroupsLossesWithinRtt) {
@@ -174,7 +119,6 @@ TEST(LossEventRecorder, IntervalsAndRates) {
   for (double th : rec.intervals_packets()) EXPECT_DOUBLE_EQ(th, 10.0);
   for (double s : rec.intervals_seconds()) EXPECT_DOUBLE_EQ(s, 10.0);
   EXPECT_NEAR(rec.loss_event_rate(), 0.1, 1e-9);
-  EXPECT_NEAR(rec.mean_interval(), 10.0, 1e-9);
 }
 
 TEST(LossEventRecorder, RecordsRateSetAfterEvent) {

@@ -30,18 +30,15 @@ using ebrc::testbed::WorkerLimits;
 using ebrc::testbed::WorkerOutcome;
 using ebrc::testbed::WorkerRequest;
 using ebrc::testbed::isolation_from;
-using ebrc::testbed::isolation_name;
 using ebrc::testbed::signal_name;
 
 using ebrc::testing::TempDir;
 
-TEST(IsolationModeTest, ParsesAndNames) {
+TEST(IsolationModeTest, Parses) {
   EXPECT_EQ(isolation_from("none"), IsolationMode::kInProcess);
   EXPECT_EQ(isolation_from("in-process"), IsolationMode::kInProcess);
   EXPECT_EQ(isolation_from("process"), IsolationMode::kProcess);
   EXPECT_THROW((void)isolation_from("container"), std::invalid_argument);
-  EXPECT_STREQ(isolation_name(IsolationMode::kInProcess), "none");
-  EXPECT_STREQ(isolation_name(IsolationMode::kProcess), "process");
 }
 
 // ---- how a worker's end is reported ------------------------------------------

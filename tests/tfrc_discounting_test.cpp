@@ -48,7 +48,7 @@ TEST(Discounting, Validation) {
 }
 
 LossHistory warmed_history(bool discounting) {
-  LossHistory h(tfrc_weights(8), /*comprehensive=*/true, discounting);
+  LossHistory h(ebrc::core::shared_tfrc_weights(8), /*comprehensive=*/true, discounting);
   double t = 0.0;
   const double rtt = 0.1;
   for (int ev = 0; ev < 12; ++ev) {

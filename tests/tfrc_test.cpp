@@ -17,7 +17,7 @@ using namespace ebrc;
 using tfrc::LossHistory;
 
 TEST(LossHistory, ClosesIntervalsOnSpacedLosses) {
-  LossHistory h(core::tfrc_weights(4), /*comprehensive=*/true);
+  LossHistory h(core::shared_tfrc_weights(4), /*comprehensive=*/true);
   const double rtt = 0.1;
   double t = 0.0;
   EXPECT_FALSE(h.has_loss());
@@ -36,7 +36,7 @@ TEST(LossHistory, ClosesIntervalsOnSpacedLosses) {
 }
 
 TEST(LossHistory, GroupsLossesWithinOneRtt) {
-  LossHistory h(core::tfrc_weights(4), true);
+  LossHistory h(core::shared_tfrc_weights(4), true);
   const double rtt = 1.0;
   double t = 0.0;
   for (int k = 0; k < 20; ++k) h.on_packet(0, t += 0.01, rtt);
@@ -48,8 +48,8 @@ TEST(LossHistory, GroupsLossesWithinOneRtt) {
 }
 
 TEST(LossHistory, ComprehensiveIncludesOpenInterval) {
-  LossHistory hc(core::tfrc_weights(2), true);
-  LossHistory hb(core::tfrc_weights(2), false);
+  LossHistory hc(core::shared_tfrc_weights(2), true);
+  LossHistory hb(core::shared_tfrc_weights(2), false);
   const double rtt = 0.1;
   double t = 0.0;
   for (LossHistory* h : {&hc, &hb}) {
@@ -69,7 +69,7 @@ TEST(LossHistory, ComprehensiveIncludesOpenInterval) {
 }
 
 TEST(LossHistory, RequiresSeedBeforeQuery) {
-  LossHistory h(core::tfrc_weights(4), true);
+  LossHistory h(core::shared_tfrc_weights(4), true);
   EXPECT_THROW((void)h.mean_interval(), std::logic_error);
   EXPECT_DOUBLE_EQ(h.loss_event_rate(), 0.0);
   EXPECT_THROW(h.on_packet(-1, 0.0, 0.1), std::invalid_argument);

@@ -193,17 +193,14 @@ TEST(Csv, WritesHeaderAndRows) {
   {
     CsvWriter csv(path, {"a", "b"});
     csv.row({1.0, 2.5});
-    csv.raw_row({"x", "y"});
-    EXPECT_EQ(csv.rows_written(), 2u);
+    EXPECT_EQ(csv.rows_written(), 1u);
   }
   std::ifstream in(path);
   std::string line;
   std::getline(in, line);
   EXPECT_EQ(line, "a,b");
   std::getline(in, line);
-  EXPECT_EQ(line.substr(0, 2), "1,");
-  std::getline(in, line);
-  EXPECT_EQ(line, "x,y");
+  EXPECT_EQ(line, "1,2.5");
   std::remove(path.c_str());
 }
 

@@ -5,12 +5,12 @@
 //
 //   * once every slot has served both traffic classes, spawning/retiring
 //     hundreds more flows performs (amortized) zero heap allocations — slot
-//     recycling is open()/close() state rewinds, never construction,
+//     recycling is open() state rewinds, never construction,
 //   * no pinned kernel callbacks are registered per arrival (pins are
 //     permanent, so a per-flow pin is a leak by definition),
-//   * retirement leaks no timers or event chains: after stop() the kernel
-//     drains COMPLETELY, and the pending-event census stays flat across
-//     measurement windows while churn runs,
+//   * retirement leaks no timers or event chains: after FlowManager::stop()
+//     the kernel drains COMPLETELY, and the pending-event census stays flat
+//     across measurement windows while churn runs,
 //   * a wired slot fits its footprint budget: the shim also tracks live heap
 //     bytes, so a pre-sized ring or a per-connection copy of shared state
 //     cannot creep back into the million-flow path unnoticed.
