@@ -18,8 +18,9 @@
 // 100 / 300 / 1000 / 10k / 100k slots under overload (--pools overrides the
 // list; a 1M-slot point is supported but stays local/manual) and measures
 // kernel events per wall-clock second end to end (arrivals, pool recycling,
-// protocol timers, packet path), best of --reps slices (the counts are the
-// first slice's, so they depend only on --seed); writes
+// protocol timers, packet path) and simulated seconds per wall-clock second
+// of the window, each best of --reps slices (the counts are the first
+// slice's, so they depend only on --seed); writes
 // BENCH_workload.json for the perf trajectory next to BENCH_kernel.json and
 // BENCH_net.json, including the wheel-vs-heap pop split of the timing-wheel
 // kernel. Wall-clock numbers are NOT bit-stable, which is why this lives
@@ -53,13 +54,15 @@ using Clock = std::chrono::steady_clock;
 constexpr int kTfrc = workload::class_index(workload::FlowClass::kTfrc);
 constexpr int kTcp = workload::class_index(workload::FlowClass::kTcp);
 
-/// events_per_sec is the best of the reps. Every other field is rep 0's:
+/// events_per_sec and sim_seconds_per_sec are the best of the reps. Every
+/// other field is rep 0's:
 /// each rep runs its own seed, so taking them from the fastest rep would let
 /// two builds with identical sample paths report different counts.
 struct EngineResult {
   std::string name;
   std::uint64_t events = 0;
-  double events_per_sec = 0.0;     // wall-clock, best of reps
+  double events_per_sec = 0.0;       // wall-clock, best of reps
+  double sim_seconds_per_sec = 0.0;  // window sim-s over wall-s, best of reps
   std::uint64_t peak_flows = 0;
   std::uint64_t completions = 0;
   double utilization = 0.0;
@@ -113,6 +116,7 @@ EngineResult run_engine_workload(int pool, double seconds, std::uint64_t seed, i
 
     const std::uint64_t events = sim.events_executed() - events0;
     out.events_per_sec = std::max(out.events_per_sec, static_cast<double>(events) / wall);
+    out.sim_seconds_per_sec = std::max(out.sim_seconds_per_sec, seconds / wall);
     if (rep == 0) {
       out.events = events;
       const auto summary = churn.summarize();
@@ -146,9 +150,10 @@ void write_engine_json(const std::string& path, double seconds, int reps,
     const auto& r = results[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"events\": %llu, \"events_per_sec\": %.0f, "
-                 "\"peak_flows\": %llu, \"completions\": %llu, \"utilization\": %.3f, "
-                 "\"wheel_pops\": %llu, \"heap_pops\": %llu}%s\n",
+                 "\"sim_seconds_per_sec\": %.4g, \"peak_flows\": %llu, \"completions\": %llu, "
+                 "\"utilization\": %.3f, \"wheel_pops\": %llu, \"heap_pops\": %llu}%s\n",
                  r.name.c_str(), static_cast<unsigned long long>(r.events), r.events_per_sec,
+                 r.sim_seconds_per_sec,
                  static_cast<unsigned long long>(r.peak_flows),
                  static_cast<unsigned long long>(r.completions), r.utilization,
                  static_cast<unsigned long long>(r.wheel_pops),
@@ -176,10 +181,12 @@ int run_engine_mode(const bench::BenchArgs& args, const std::string& out_path,
     results.push_back(run_engine_workload(pool, window, args.seed, reps));
   }
   util::Table t(
-      {"pool", "events/s", "events", "peak flows", "completions", "util", "wheel share"});
+      {"pool", "events/s", "sim-s/s", "events", "peak flows", "completions", "util",
+       "wheel share"});
   for (const auto& r : results) {
     const double pops = static_cast<double>(r.wheel_pops + r.heap_pops);
-    t.row({r.name, util::fmt(r.events_per_sec, 6), util::fmt(static_cast<double>(r.events), 6),
+    t.row({r.name, util::fmt(r.events_per_sec, 6), util::fmt(r.sim_seconds_per_sec, 4),
+           util::fmt(static_cast<double>(r.events), 6),
            util::fmt(static_cast<double>(r.peak_flows), 4),
            util::fmt(static_cast<double>(r.completions), 5), util::fmt(r.utilization, 3),
            util::fmt(pops > 0 ? static_cast<double>(r.wheel_pops) / pops : 0.0, 3)});

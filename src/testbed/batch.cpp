@@ -121,6 +121,15 @@ struct Aggregator {
   /// Each field's accumulator by ordinal, looked up (and its name built)
   /// once per aggregate() call, not per result.
   std::vector<stats::OnlineMoments*> slots{};
+  /// Each obs entry's accumulator by position, with the entry name it was
+  /// found for (a view into its metric key). Results of one kind list the
+  /// same names in the same order, so a name check replaces building
+  /// "obs_<name>" and a map lookup; a mismatch looks it up and re-points.
+  struct ObsSlot {
+    std::string_view name;
+    stats::OnlineMoments* metric = nullptr;
+  };
+  std::vector<ObsSlot> obs_slots{};
   std::size_t at = 0;
   bool active = true;
 
@@ -141,7 +150,16 @@ struct Aggregator {
   void list(FieldName, const std::vector<T>&, Fn) {}
   template <class Fn>
   void list(FieldName n, const obs::Snapshot& s, Fn) {
-    for (const auto& [name, v] : s) out.metrics[std::string(n.pattern) + "_" + name].add(v);
+    if (obs_slots.size() < s.size()) obs_slots.resize(s.size());
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      const auto& [name, v] = s[i];
+      ObsSlot& slot = obs_slots[i];
+      if (slot.metric == nullptr || slot.name != name) {
+        const auto it = out.metrics.try_emplace(std::string(n.pattern) + "_" + name).first;
+        slot = {std::string_view(it->first).substr(n.pattern.size() + 1), &it->second};
+      }
+      slot.metric->add(v);
+    }
   }
 };
 

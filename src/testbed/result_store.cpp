@@ -1,10 +1,16 @@
 #include "testbed/result_store.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <mutex>
+#include <shared_mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -35,17 +41,23 @@ constexpr std::size_t kIndexRecordBytes = 4 * 8;  // fp, seed, salt, checksum
   return h.digest();
 }
 
-[[nodiscard]] std::string hex16(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string s(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    s[static_cast<std::size_t>(i)] = digits[v & 0xF];
-    v >>= 4;
-  }
-  return s;
+/// Appends the top `digits` hex digits of v, most significant first.
+void append_hex(std::string& out, std::uint64_t v, int digits = 16) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  for (int shift = 60; digits > 0; shift -= 4, --digits) out += kDigits[(v >> shift) & 0xF];
 }
 
-/// Inverse of hex16; false on anything that is not exactly 16 hex digits.
+/// "-<salt as 16 hex digits>.ebrcres": the tail every entry name of a store shares.
+[[nodiscard]] std::string entry_suffix(std::uint64_t salt) {
+  std::string out;
+  out.reserve(1 + 16 + result_file_extension().size());
+  out += '-';
+  append_hex(out, salt);
+  out += result_file_extension();
+  return out;
+}
+
+/// Inverse of append_hex over 16 digits; false on anything that is not exactly 16 hex digits.
 [[nodiscard]] bool parse_hex16(std::string_view s, std::uint64_t& out) {
   if (s.size() != 16) return false;
   std::uint64_t v = 0;
@@ -69,13 +81,30 @@ constexpr std::size_t kIndexRecordBytes = 4 * 8;  // fp, seed, salt, checksum
   return h.digest();
 }
 
-[[nodiscard]] std::optional<std::string> read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) return std::nullopt;
-  return std::move(buf).str();
+/// Reads the whole file into `buf`, sized by fstat, with plain POSIX calls:
+/// every cache hit pays this, so no stream or path objects, and a caller
+/// that keeps `buf` reuses its capacity. False when the file is absent, not
+/// a regular file, or a read fails. A file that shrinks mid-read comes back
+/// short, and the envelope check rejects it.
+[[nodiscard]] bool read_file(const char* path, std::string& buf) {
+  const int fd = ::open(path, O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct stat st {};
+  bool ok = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+  std::size_t got = 0;
+  if (ok) buf.resize(static_cast<std::size_t>(st.st_size));
+  while (ok && got < buf.size()) {
+    const ssize_t n = ::read(fd, buf.data() + got, buf.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      ok = n == 0;
+      break;
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  buf.resize(got);
+  return ok;
 }
 
 struct Header {
@@ -146,6 +175,10 @@ struct PayloadReader {
   template <class T, class Fn>
   void list(FieldName, std::vector<T>& items, Fn elem) {
     const std::uint64_t n = r.u64();
+    // One allocation per list instead of a doubling series. Each element
+    // takes at least one word, so a count the bytes left cannot hold (a
+    // corrupt payload) never sizes the reservation.
+    items.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n, r.remaining() / 8)));
     for (std::uint64_t i = 0; i < n && r.ok(); ++i) elem(*this, items.emplace_back());
   }
 };
@@ -167,7 +200,10 @@ std::optional<ExperimentResult> decode_result(std::string_view payload) {
 }
 
 ResultStore::ResultStore(std::filesystem::path root, std::uint64_t salt)
-    : root_(std::move(root)), salt_(salt) {
+    : root_(std::move(root)),
+      salt_(salt),
+      prefix_((root_ / "").string()),
+      entry_suffix_(entry_suffix(salt_)) {
   std::filesystem::create_directories(root_);
   load_or_rebuild_index();
 }
@@ -175,22 +211,23 @@ ResultStore::ResultStore(std::filesystem::path root, std::uint64_t salt)
 std::filesystem::path ResultStore::index_path() const { return root_ / "INDEX.ebrcidx"; }
 
 void ResultStore::load_or_rebuild_index() {
-  const auto bytes = read_file(index_path());
-  if (!bytes) {
+  std::string bytes;
+  if (!read_file(index_path().c_str(), bytes)) {
     rebuild_index();
     return;
   }
   // Header, then whole records only; a short/foreign file, a bad checksum,
   // or a torn trailing record all abandon the file and rebuild from the
   // entry filenames — the index is never trusted past its first defect.
-  util::ByteReader r(*bytes);
+  util::ByteReader r(bytes);
   if (r.u64() != kIndexMagic || r.u64() != kIndexVersion || !r.ok() ||
-      (bytes->size() - kIndexHeaderBytes) % kIndexRecordBytes != 0) {
+      (bytes.size() - kIndexHeaderBytes) % kIndexRecordBytes != 0) {
     rebuild_index();
     return;
   }
+  const std::size_t records = (bytes.size() - kIndexHeaderBytes) / kIndexRecordBytes;
   std::unordered_set<IndexKey, IndexKeyHash> keys;
-  const std::size_t records = (bytes->size() - kIndexHeaderBytes) / kIndexRecordBytes;
+  keys.reserve(records);
   for (std::size_t i = 0; i < records; ++i) {
     const std::uint64_t fp = r.u64();
     const std::uint64_t seed = r.u64();
@@ -202,7 +239,7 @@ void ResultStore::load_or_rebuild_index() {
     }
     if (salt == salt_) keys.insert(IndexKey{fp, seed});
   }
-  std::lock_guard<std::mutex> lock(index_mu_);
+  const std::unique_lock lock(index_mu_);
   index_ = std::move(keys);
 }
 
@@ -253,7 +290,7 @@ std::size_t ResultStore::rebuild_index() {
   }
   std::filesystem::rename(temp, index_path());
 
-  std::lock_guard<std::mutex> lock(index_mu_);
+  const std::unique_lock lock(index_mu_);
   index_ = std::move(keys);
   return records.size();
 }
@@ -268,7 +305,7 @@ void ResultStore::append_index_record(std::uint64_t fp, std::uint64_t seed) cons
   if (fault::fire(fault::Kind::kTornIndexRecord, append_seq_.fetch_add(1))) {
     record.resize(record.size() / 2);  // crash mid-append: prefix only
   }
-  std::lock_guard<std::mutex> lock(index_mu_);
+  const std::unique_lock lock(index_mu_);
   {
     std::ofstream out(index_path(), std::ios::binary | std::ios::app);
     out << record;
@@ -279,20 +316,27 @@ void ResultStore::append_index_record(std::uint64_t fp, std::uint64_t seed) cons
 }
 
 bool ResultStore::index_contains(std::uint64_t fp, std::uint64_t seed) const {
-  std::lock_guard<std::mutex> lock(index_mu_);
+  const std::shared_lock lock(index_mu_);
   return index_.count(IndexKey{fp, seed}) != 0;
 }
 
 bool ResultStore::probe(const Scenario& s) const { return index_contains(fingerprint(s), s.seed); }
 
-std::filesystem::path ResultStore::path_for(std::uint64_t fp, std::uint64_t seed) const {
-  const std::string name =
-      hex16(fp) + "-" + hex16(seed) + "-" + hex16(salt_) + std::string(result_file_extension());
-  return root_ / hex16(fp).substr(0, 2) / name;
+void ResultStore::entry_path(std::uint64_t fp, std::uint64_t seed, std::string& out) const {
+  out.clear();
+  out += prefix_;
+  append_hex(out, fp, 2);
+  out += '/';
+  append_hex(out, fp);
+  out += '-';
+  append_hex(out, seed);
+  out += entry_suffix_;
 }
 
 std::filesystem::path ResultStore::path_for(const Scenario& s) const {
-  return path_for(fingerprint(s), s.seed);
+  std::string path;
+  entry_path(fingerprint(s), s.seed, path);
+  return path;
 }
 
 std::optional<ExperimentResult> ResultStore::load(const Scenario& s) const {
@@ -305,10 +349,14 @@ std::optional<ExperimentResult> ResultStore::load(const Scenario& s) const {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  const auto path = path_for(fp, s.seed);
+  // One path and one file buffer per thread, kept across hits: entries are
+  // all about the same size, so after a thread's first hit a read allocates
+  // nothing.
+  thread_local std::string path;
+  thread_local std::string bytes;
+  entry_path(fp, s.seed, path);
   fs_probes_.fetch_add(1, std::memory_order_relaxed);
-  const auto bytes = read_file(path);
-  if (!bytes) {
+  if (!read_file(path.c_str(), bytes)) {
     // Stale index verdict: the entry was quarantined or deleted since the
     // index was read. Degrades to an ordinary miss.
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -321,16 +369,13 @@ std::optional<ExperimentResult> ResultStore::load(const Scenario& s) const {
     // on stderr — stdout stays bit-comparable.
     corrupt_.fetch_add(1, std::memory_order_relaxed);
     misses_.fetch_add(1, std::memory_order_relaxed);
-    auto dest = path;
-    dest += quarantine_suffix();
-    std::error_code ec;
-    std::filesystem::rename(path, dest, ec);
-    if (!ec) {
+    const std::string dest = path + std::string(quarantine_suffix());
+    if (std::rename(path.c_str(), dest.c_str()) == 0) {
       quarantined_.fetch_add(1, std::memory_order_relaxed);
-      std::cerr << "[cache] quarantined " << path.string() << "\n";
+      std::cerr << "[cache] quarantined " << path << "\n";
     }
   };
-  const auto envelope = open_envelope(*bytes);
+  const auto envelope = open_envelope(bytes);
   if (!envelope || envelope->fingerprint != fp || envelope->seed != s.seed ||
       envelope->salt != salt_) {
     quarantine();
@@ -356,7 +401,9 @@ void ResultStore::store(const Scenario& s, const ExperimentResult& r) const {
   w.u64(salt_);
   w.u64(payload_hash(payload));
   w.u64(payload.size());
-  const auto path = path_for(fp, s.seed);
+  std::string entry;
+  entry_path(fp, s.seed, entry);
+  const std::filesystem::path path = entry;
   std::filesystem::create_directories(path.parent_path());
 
   // Temp name unique across threads (counter) AND processes (pid): shards
@@ -395,9 +442,9 @@ ResultStore::Counters ResultStore::counters() const noexcept {
 }
 
 bool validate_result_file(const std::filesystem::path& path) {
-  const auto bytes = read_file(path);
-  if (!bytes) return false;
-  const auto envelope = open_envelope(*bytes);
+  std::string bytes;
+  if (!read_file(path.c_str(), bytes)) return false;
+  const auto envelope = open_envelope(bytes);
   return envelope && decode_result(envelope->payload).has_value();
 }
 

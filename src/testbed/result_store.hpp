@@ -30,13 +30,21 @@
 // that fail validation at load are quarantined to <entry>.corrupt (kept for
 // forensics, diagnosed on stderr) rather than silently overwritten; the
 // runner then re-simulates and stores a fresh entry.
+//
+// A hit is the read side of every warm rerun, resume and shard merge, so it
+// costs one index probe under a shared lock (appends and rebuilds take it
+// exclusively), one open/fstat/read/close of the entry into a per-thread
+// buffer sized by fstat, the FNV-1a checksum and the decode. The entry path
+// is built as one string; no stream or std::filesystem::path is made per
+// hit. The checksum and the scenario fingerprint take about half of a hit's
+// time; neither can change without changing the file format or cache keys.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -142,9 +150,10 @@ class ResultStore {
   [[nodiscard]] std::filesystem::path index_path() const;
 
  private:
-  /// Fingerprint-precomputed variant behind both load() and store(), so one
-  /// call hashes the scenario exactly once.
-  [[nodiscard]] std::filesystem::path path_for(std::uint64_t fp, std::uint64_t seed) const;
+  /// Writes the entry's path into `out` as one string (prefix_, fanout,
+  /// name, entry_suffix_), for the fingerprint load() and store() compute
+  /// once.
+  void entry_path(std::uint64_t fp, std::uint64_t seed, std::string& out) const;
 
   /// Loads the index file into index_; any structural defect (missing file,
   /// bad header, torn record) falls through to rebuild_index().
@@ -154,6 +163,8 @@ class ResultStore {
 
   std::filesystem::path root_;
   std::uint64_t salt_;
+  std::string prefix_;        // root_ with a trailing separator
+  std::string entry_suffix_;  // "-<salt hex>.ebrcres"
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};
   mutable std::atomic<std::uint64_t> corrupt_{0};
@@ -180,7 +191,8 @@ class ResultStore {
       return static_cast<std::size_t>(x);
     }
   };
-  mutable std::mutex index_mu_;
+  /// Probes take it shared; appends and rebuilds take it exclusively.
+  mutable std::shared_mutex index_mu_;
   mutable std::unordered_set<IndexKey, IndexKeyHash> index_;
 };
 

@@ -73,6 +73,10 @@ class ByteReader {
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   /// True when every byte has been consumed (trailing garbage = corruption).
   [[nodiscard]] bool exhausted() const noexcept { return p_ == end_; }
+  /// Bytes not yet consumed.
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return static_cast<std::size_t>(end_ - p_);
+  }
 
  private:
   const char* p_;

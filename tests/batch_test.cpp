@@ -10,6 +10,8 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "stats/online.hpp"
@@ -174,6 +176,46 @@ TEST(AggregateGolden, ChurnBatchPerController) {
   EXPECT_AGGREGATE(churn_batch("tcp"), 0xf09d7052029454a3ull, 0xd5b8201f574cde2bull);
   EXPECT_AGGREGATE(churn_batch("delay_aimd"), 0x41ce72511bae795eull, 0xbaac9c771794d330ull);
   EXPECT_AGGREGATE(churn_batch("rcp"), 0x971464d299cee286ull, 0x2bb8831ab0cded12ull);
+}
+
+// aggregate() folds obs entries by position and checks each entry's name
+// against the slot it cached; this batch breaks the position match every way
+// a real mix can (two kinds of result, a missing entry, a reordered pair),
+// and every accumulator must still equal a plain by-name fold, bit for bit.
+TEST(AggregateObs, MixedSnapshotsMatchAByNameFold) {
+  const ExperimentResult ns2 = ebrc::testbed::run_experiment(short_ns2(5));
+  const ExperimentResult churn = ebrc::testbed::run_experiment(churn_batch("tcp"));
+  ASSERT_GE(ns2.obs.size(), 3u);
+  ASSERT_GE(churn.obs.size(), 3u);
+  ASSERT_NE(ns2.obs, churn.obs);
+  ExperimentResult missing = ns2;
+  missing.obs.erase(missing.obs.begin() + 1);
+  ExperimentResult reordered = churn;
+  std::swap(reordered.obs[0], reordered.obs[2]);
+  const std::vector<ExperimentResult> runs = {ns2, churn, missing, ns2, reordered, churn};
+
+  // Reference: the scalar fields through aggregate() without any obs, and
+  // every obs entry added under "obs_<name>" in result order.
+  std::vector<ExperimentResult> bare = runs;
+  for (auto& r : bare) r.obs.clear();
+  auto reference = ebrc::testbed::aggregate(bare).metrics;
+  for (const auto& r : runs) {
+    for (const auto& [name, v] : r.obs) reference["obs_" + name].add(v);
+  }
+
+  const auto agg = ebrc::testbed::aggregate(runs);
+  EXPECT_EQ(agg.runs, runs.size());
+  ASSERT_EQ(agg.metrics.size(), reference.size());
+  for (const auto& [name, want] : reference) {
+    const auto& got = agg.metric(name);
+    EXPECT_EQ(got.count(), want.count()) << name;
+    for (const auto& [what, a, b] :
+         {std::tuple{"mean", got.mean(), want.mean()}, std::tuple{"m2", got.m2(), want.m2()},
+          std::tuple{"min", got.min(), want.min()}, std::tuple{"max", got.max(), want.max()}}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+          << name << " " << what;
+    }
+  }
 }
 
 TEST(ReplicatePaired, SharesSeedsWithinPairsDistinctAcrossReps) {

@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "result_fields.hpp"
@@ -215,6 +217,105 @@ TEST(ResultStore, CorruptAndTruncatedEntriesReadAsMisses) {
   const auto healed = store.load(s);
   ASSERT_TRUE(healed.has_value());
   expect_same_fields(fresh, *healed);
+}
+
+TEST(ResultStore, EmptyAndHeaderOnlyEntriesAreQuarantined) {
+  // The reader sizes its buffer by fstat: a zero-length file and a file that
+  // stops right after its 56-byte header must both fail the envelope check,
+  // like any truncation, and be moved aside, not read as plain misses.
+  TempDir dir;
+  ResultStore store(dir.path);
+  const Scenario s = short_ns2(56);
+  const ExperimentResult fresh = ebrc::testbed::run_experiment(s);
+  const fs::path entry = store.path_for(s);
+  fs::path forensics = entry;
+  forensics += std::string(ebrc::testbed::quarantine_suffix());
+  constexpr std::uintmax_t kHeaderBytes = 7 * 8;
+
+  std::uint64_t corrupt = 0;
+  for (const std::uintmax_t size : {std::uintmax_t{0}, kHeaderBytes}) {
+    store.store(s, fresh);
+    ASSERT_GT(fs::file_size(entry), kHeaderBytes);
+    fs::resize_file(entry, size);
+    EXPECT_FALSE(ebrc::testbed::validate_result_file(entry)) << size << " bytes";
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(store.load(s).has_value()) << size << " bytes";
+    (void)testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(fs::exists(entry)) << size << " bytes";
+    ASSERT_TRUE(fs::exists(forensics)) << size << " bytes";
+    EXPECT_EQ(fs::file_size(forensics), size);
+    EXPECT_FALSE(ebrc::testbed::validate_result_file(forensics)) << size << " bytes";
+    const auto c = store.counters();
+    EXPECT_EQ(c.corrupt, ++corrupt);
+    EXPECT_EQ(c.quarantined, corrupt);
+    EXPECT_EQ(c.hits, 0u);
+  }
+}
+
+TEST(ResultStore, EntryDeletedAfterIndexLoadIsAPlainMiss) {
+  // The index still names the key, so load() opens the file and finds none:
+  // that is a stale index verdict, a miss, and nothing to quarantine.
+  TempDir dir;
+  const Scenario s = short_ns2(57);
+  {
+    ResultStore writer(dir.path);
+    writer.store(s, ebrc::testbed::run_experiment(s));
+  }
+  ResultStore store(dir.path);
+  ASSERT_TRUE(store.probe(s));
+  const fs::path entry = store.path_for(s);
+  ASSERT_TRUE(ebrc::testbed::validate_result_file(entry));
+  fs::remove(entry);
+
+  EXPECT_FALSE(ebrc::testbed::validate_result_file(entry));
+  EXPECT_FALSE(store.load(s).has_value());
+  const auto c = store.counters();
+  EXPECT_EQ(c.misses, 1u);
+  EXPECT_EQ(c.fs_probes, 1u);
+  EXPECT_EQ(c.corrupt, 0u);
+  EXPECT_EQ(c.quarantined, 0u);
+  fs::path forensics = entry;
+  forensics += std::string(ebrc::testbed::quarantine_suffix());
+  EXPECT_FALSE(fs::exists(forensics));
+}
+
+TEST(ResultStore, WarmRunWhileAnotherThreadStoresReturnsIdenticalHits) {
+  // Probes share the index lock while appends take it exclusively: a
+  // four-worker warm run must keep reading exact hits while another thread
+  // stores new keys into the same store and index.
+  TempDir dir;
+  ResultStore store(dir.path);
+  const auto batch = ebrc::testbed::replicate(short_ns2(0), /*root_seed=*/17, /*reps=*/8);
+  const auto fresh = BatchRunner(4).run(batch, &store);
+
+  std::atomic<bool> done{false};
+  std::vector<Scenario> added;
+  std::thread writer([&] {
+    for (std::uint64_t k = 0; !done.load() || k < 64; ++k) {
+      Scenario s = batch[k % batch.size()];
+      s.seed = (std::uint64_t{1} << 40) + k;  // a key no replication uses
+      store.store(s, fresh[k % fresh.size()]);
+      added.push_back(s);
+    }
+  });
+  for (int pass = 0; pass < 20; ++pass) {
+    SweepReport rep;
+    const auto warm = BatchRunner(4).run(batch, &store, ShardSpec{}, &rep);
+    EXPECT_EQ(rep.hits, batch.size()) << "pass " << pass;
+    EXPECT_EQ(rep.simulated, 0u) << "pass " << pass;
+    for (std::size_t i = 0; i < batch.size(); ++i) expect_same_fields(fresh[i], warm[i]);
+  }
+  done.store(true);
+  writer.join();
+
+  // Every key the writer added is in the index and reads back exactly.
+  for (std::size_t k = 0; k < added.size(); ++k) {
+    ASSERT_TRUE(store.probe(added[k]));
+    const auto hit = store.load(added[k]);
+    ASSERT_TRUE(hit.has_value());
+    expect_same_fields(fresh[k % fresh.size()], *hit);
+  }
+  EXPECT_EQ(store.counters().corrupt, 0u);
 }
 
 TEST(ResultStore, BatchRunnerWarmCacheSimulatesNothing) {
