@@ -1,13 +1,14 @@
 // Event-kernel throughput benchmark: the first point of the repo's perf
-// trajectory. Drives the simulator's schedule/run/cancel hot paths with
+// trajectory. Drives the simulator's schedule/run hot paths with
 // capture classes that exercise every storage tier of the kernel —
 //
 //   empty_capture    captureless closures (tiny slot, no state)
 //   capture8         one-pointer captures, the protocols' [this] timers
 //   capture48        48-byte captures (wide slot, still zero-allocation)
 //   boxed96          oversized captures (heap box: exactly 1 alloc/event)
-//   timer_churn      schedule + cancel + replacement, the RTO/feedback
-//                    pattern (2 executed events per 3 scheduled)
+//   timer_churn      a timer re-armed earlier plus a plain event, the
+//                    RTO/delayed-ACK pattern: superseded firings run and
+//                    drop themselves by event id (3 executed per 3 scheduled)
 //   steady_state     self-rescheduling chains holding a bounded pending set,
 //                    the shape of a real experiment run
 //   pinned_steady    the same chain shape on pinned events: every schedule
@@ -38,6 +39,7 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using ebrc::sim::EventId;
 using ebrc::sim::Simulator;
 
 struct WorkloadResult {
@@ -97,12 +99,21 @@ RunStats bulk_run(std::uint64_t n, MakeFn&& make_fn) {
 RunStats churn_run(std::uint64_t n, double& sink) {
   Simulator sim;
   double* out = &sink;
+  // One timer, armed and then re-armed earlier every iteration — the TCP
+  // RTO / delayed-ACK pattern of sim::LazyTimer. Every firing but the live
+  // event's runs and drops itself by its event id.
+  struct Timer {
+    const Simulator* sim;
+    EventId live;
+    double* out;
+    void fire() const {
+      if (sim->current_event() == live) *out += 1;
+    }
+  } timer{&sim, 0, out};
+  const Timer* t = &timer;
   for (std::uint64_t i = 0; i < n; ++i) {
-    // A timer armed, withdrawn, and re-armed — the TCP RTO / TFRC feedback
-    // pattern. Two of the three scheduled events execute.
-    auto h = sim.schedule(1.0 + static_cast<double>(i % 13) * 1e-3, [out] { *out += 1; });
-    h.cancel();
-    sim.schedule(static_cast<double>(i % 97) * 1e-3, [out] { *out += 1; });
+    sim.schedule(1.0 + static_cast<double>(i % 13) * 1e-3, [t] { t->fire(); });
+    timer.live = sim.schedule(static_cast<double>(i % 97) * 1e-3, [t] { t->fire(); });
     sim.schedule(static_cast<double>(i % 89) * 1e-3, [out] { *out += 1; });
   }
   sim.run();

@@ -54,42 +54,6 @@ void BM_EventQueueScheduleRunCaptureHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRunCaptureHeavy)->Arg(1024)->Arg(16384);
 
-// Timer churn: arm, withdraw, re-arm — the TCP RTO / TFRC feedback-timer
-// pattern. Measures schedule+cancel and the slab's recycling of cancelled
-// slots (per item: two schedules, one cancel, one executed event).
-void BM_EventQueueScheduleCancel(benchmark::State& state) {
-  sim::Simulator sim;
-  std::uint64_t fired = 0;
-  int i = 0;
-  for (auto _ : state) {
-    auto h = sim.schedule(1.0 + static_cast<double>(i % 13) * 1e-3, [&fired] { ++fired; });
-    h.cancel();
-    sim.schedule(1e-4, [&fired] { ++fired; });
-    if (++i % 64 == 0) sim.run_until(sim.now() + 1e-3);  // drain in batches
-    benchmark::DoNotOptimize(fired);
-  }
-  sim.run();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventQueueScheduleCancel);
-
-// Handle lifecycle traffic alone: copies, pending() queries, stale cancels.
-void BM_EventHandleChurn(benchmark::State& state) {
-  sim::Simulator sim;
-  sim::EventHandle handles[8];
-  int i = 0;
-  for (auto _ : state) {
-    handles[i & 7] = sim.schedule(1e-5, [] {});
-    const bool p = handles[(i + 4) & 7].pending();
-    handles[(i + 1) & 7].cancel();
-    if (++i % 32 == 0) sim.run_until(sim.now() + 1e-4);
-    benchmark::DoNotOptimize(p);
-  }
-  sim.run();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventHandleChurn);
-
 void BM_EstimatorPush(benchmark::State& state) {
   core::MovingAverageEstimator est(core::tfrc_weights(static_cast<std::size_t>(state.range(0))));
   est.seed(10.0);

@@ -102,7 +102,6 @@ void Simulator::pop_min() {
 }
 
 void Simulator::run_until(Time horizon) {
-  EventSlab* const slab = slab_;
   for (;;) {
     // Cooperative wall-deadline poll: one mask test per event keeps the
     // unarmed cost invisible, yet a wedged cell still surfaces within 64k
@@ -136,7 +135,7 @@ void Simulator::run_until(Time horizon) {
       __builtin_prefetch(&pinned_[nw->slot]);
 #endif
     } else if (nh != nullptr) {
-      slab->prefetch(nh->slot);
+      slab_.prefetch(nh->slot);
     }
     // The front run holds only pinned entries, in pop order: with more
     // callbacks and targets than the caches hold, start their lines in a few
@@ -153,25 +152,20 @@ void Simulator::run_until(Time horizon) {
       }
     }
     if (from_wheel) {
-      // Pinned fast path: no liveness check, no retire, no callback move —
-      // invoke in place. Always live by construction.
+      // Pinned fast path: no retire, no callback move — invoke in place.
       record_executed(e.at, e.slot, 1u);
       now_ = e.at;
       ++executed_;
       pinned_[e.slot]();
       continue;
     }
-    const bool live = slab->slot_live(e.slot);
-    // Move the callback out and recycle the slot before running: a handle
-    // must report !pending() from inside its own callback, and new events may
-    // reuse the slot under a fresh generation without confusing stale
-    // handles. (This also retires the old move-out-of-priority_queue
-    // const_cast idiom — the callback is owned by the slab, not the heap.)
-    EventFn fn = slab->retire(e.slot);
-    if (!live) continue;  // cancelled
+    // Move the callback out and recycle the slot before running, so events
+    // the callback schedules may reuse it.
+    EventFn fn = slab_.retire(e.slot);
     assert(e.at >= now_);
     record_executed(e.at, e.slot, 0u);
     now_ = e.at;
+    current_ = e.seq;
     ++executed_;
     fn();
   }

@@ -1,10 +1,12 @@
 // Discrete-event simulation kernel.
 //
 // Events are closures scheduled at absolute simulated times. Ties are broken
-// by insertion order so a run is fully deterministic for a fixed seed. An
-// EventHandle allows O(1) logical cancellation (the event stays in the heap
-// but is skipped when popped), which is how pending retransmit timers and
-// feedback timers are withdrawn.
+// by insertion order so a run is fully deterministic for a fixed seed. The
+// kernel never withdraws an event: every popped entry runs. A component that
+// needs to drop a scheduled firing keeps the event's id (its insertion
+// sequence number, returned by schedule()) and compares it with
+// current_event() when the callback runs — sim::LazyTimer does exactly this
+// for TCP's retransmission and delayed-ACK timers.
 //
 // Hot-path layout (the kernel executes every packet, timer, and feedback
 // event of every experiment, so BatchRunner wall clock is mostly spent here):
@@ -28,18 +30,14 @@
 //     callback and the object its first word points to are prefetched a few
 //     events ahead — in simulators with more pinned callbacks than the
 //     caches hold (kLookaheadPins), where those loads miss.
-//   - Liveness tracking uses a pooled generation slab shared by the
-//     simulator and its handles: scheduling recycles slots from a free list
-//     (the old shared_ptr<bool>-per-event design is long gone), and the slot
-//     now owns the callback storage too. Each Simulator owns its own slab,
-//     so independent instances are safe to run concurrently on separate
-//     threads.
+//   - Slab callbacks live in a pooled slot array that recycles slots from a
+//     free list. Each Simulator owns its own slab, so independent instances
+//     are safe to run concurrently on separate threads.
 //
-// The observable semantics — (time, insertion-seq) execution order, cancel /
-// retire / generation behavior, handles reporting !pending() inside their
-// own callback — are bit-identical to the previous std::priority_queue
-// kernel; tests/golden_determinism_test.cpp pins that with an execution
-// order recorded from the old kernel.
+// The observable execution order — (time, insertion-seq) — is bit-identical
+// to the original std::priority_queue kernel;
+// tests/golden_determinism_test.cpp pins that with an execution order
+// recorded from the old kernel.
 #pragma once
 
 #include <bit>
@@ -58,6 +56,10 @@ namespace ebrc::sim {
 /// The kernel's callback type: captures up to 56 bytes are stored inline
 /// (one cache line per callback including the dispatch pointer).
 using EventFn = InlineFunction<void(), 56>;
+
+/// Names one scheduled event: its insertion sequence number, unique for the
+/// simulator's lifetime.
+using EventId = std::uint64_t;
 
 /// Thrown out of Simulator::run / run_until by the cooperative wall-clock
 /// deadline poll (see arm_thread_wall_deadline).
@@ -83,29 +85,17 @@ void disarm_thread_wall_deadline() noexcept;
 /// also poll this.
 void poll_thread_wall_deadline();
 
-/// Pool of event slots. A slot is identified by (index, generation);
-/// retiring a slot bumps its generation, so handles to a recycled slot go
-/// stale instead of observing the next event that reuses it. The slot also
-/// owns its event's callback: the heap above it only shuffles POD entries.
-///
-/// Two layout decisions keep the pool cache-resident:
-///   - Structure-of-arrays: the 8-byte liveness metadata that cancel /
-///     pending checks touch lives in its own dense array, separate from the
-///     callback storage.
-///   - Two slot classes: callbacks whose state compresses to one word (a
-///     captureless lambda, a `this` capture, or an oversized capture's heap
-///     box pointer — i.e. almost every closure the protocols schedule) live
-///     in 16-byte "tiny" slots; only mid-sized captures (9..56 bytes) use a
-///     full cache line. With tens of thousands of events pending, the tiny
-///     pool is a quarter the footprint of a one-line-per-callback layout.
-/// Slot indices carry the class in their top bit.
+/// Pool of event slots, each owning one pending event's callback: the heap
+/// above it only shuffles POD entries. Two slot classes keep the pool
+/// cache-resident: callbacks whose state compresses to one word (a
+/// captureless lambda, a `this` capture, or an oversized capture's heap box
+/// pointer — i.e. almost every closure the protocols schedule) live in
+/// 16-byte "tiny" slots; only mid-sized captures (9..56 bytes) use a full
+/// cache line. With tens of thousands of events pending, the tiny pool is a
+/// quarter the footprint of a one-line-per-callback layout. Slot indices
+/// carry the class in their top bit.
 class EventSlab {
  public:
-  struct Ticket {
-    std::uint32_t index = 0;
-    std::uint32_t generation = 0;
-  };
-
   EventSlab() = default;
   EventSlab(const EventSlab&) = delete;
   EventSlab& operator=(const EventSlab&) = delete;
@@ -122,77 +112,39 @@ class EventSlab {
     }
   }
 
-  /// Reserves a live slot holding `fn`, recycling a retired slot when one is
-  /// available.
-  Ticket acquire(EventFn&& fn) {
+  /// Stores `fn` in a slot, recycling a retired one when available, and
+  /// returns the slot's index.
+  std::uint32_t acquire(EventFn&& fn) {
     if (fn.compressible()) {
       if (!tiny_free_.empty()) {
         const std::uint32_t idx = tiny_free_.back();
         tiny_free_.pop_back();
         tiny_[idx] = fn.compress();
-        Meta& m = tiny_meta_[idx];
-        m.alive = true;
-        return {idx, m.generation};
+        return idx;
       }
-      tiny_meta_.push_back(Meta{0, true});
       tiny_.push_back(fn.compress());
-      return {static_cast<std::uint32_t>(tiny_meta_.size() - 1), 0};
+      return static_cast<std::uint32_t>(tiny_.size() - 1);
     }
     if (!wide_free_.empty()) {
       const std::uint32_t idx = wide_free_.back();
       wide_free_.pop_back();
       wide_[idx].fn = std::move(fn);
-      Meta& m = wide_meta_[idx];
-      m.alive = true;
-      return {idx | kWideBit, m.generation};
+      return idx | kWideBit;
     }
-    wide_meta_.push_back(Meta{0, true});
     wide_.emplace_back();
     wide_.back().fn = std::move(fn);
-    return {static_cast<std::uint32_t>(wide_meta_.size() - 1) | kWideBit, 0};
-  }
-
-  /// True while the ticket's event is pending (not fired, not cancelled).
-  [[nodiscard]] bool alive(Ticket t) const noexcept {
-    const std::vector<Meta>& meta = meta_of(t.index);
-    const std::uint32_t i = t.index & ~kWideBit;
-    return i < meta.size() && meta[i].generation == t.generation && meta[i].alive;
-  }
-
-  /// Marks the ticket's event as no longer pending; stale tickets are ignored.
-  void cancel(Ticket t) noexcept {
-    std::vector<Meta>& meta = meta_of(t.index);
-    const std::uint32_t i = t.index & ~kWideBit;
-    if (i < meta.size() && meta[i].generation == t.generation) {
-      meta[i].alive = false;
-    }
-  }
-
-  /// Liveness of a slot by index. Only the simulator calls this — a slot is
-  /// owned by exactly one heap entry, so when that entry is popped the slot's
-  /// current generation is necessarily the entry's generation.
-  [[nodiscard]] bool slot_live(std::uint32_t index) const noexcept {
-    const std::vector<Meta>& meta = meta_of(index);
-    const std::uint32_t i = index & ~kWideBit;
-    assert(i < meta.size());
-    return meta[i].alive;
+    return static_cast<std::uint32_t>(wide_.size() - 1) | kWideBit;
   }
 
   /// Moves the callback out and returns the slot to the free list once its
-  /// heap entry has been popped. The slot is immediately reusable (under a
-  /// fresh generation) even while the returned callback is still executing.
+  /// heap entry has been popped. The slot is immediately reusable even while
+  /// the returned callback is still executing.
   [[nodiscard]] EventFn retire(std::uint32_t index) {
     const std::uint32_t i = index & ~kWideBit;
     if ((index & kWideBit) == 0) {
-      Meta& m = tiny_meta_[i];
-      m.alive = false;
-      ++m.generation;
       tiny_free_.push_back(i);
       return EventFn::decompress(tiny_[i]);
     }
-    Meta& m = wide_meta_[i];
-    m.alive = false;
-    ++m.generation;
     wide_free_.push_back(i);
     return std::move(wide_[i].fn);
   }
@@ -216,111 +168,28 @@ class EventSlab {
   /// Pre-sizes slot and free-list storage (no slots are created). Sized for
   /// the common case: most callbacks are tiny, a fraction are wide.
   void reserve(std::size_t n) {
-    tiny_meta_.reserve(n);
     tiny_.reserve(n);
     tiny_free_.reserve(n);
     const std::size_t wide = n / 4 + 1;
-    wide_meta_.reserve(wide);
     wide_.reserve(wide);
     wide_free_.reserve(wide);
   }
 
   /// Number of slots ever created (capacity watermark, for tests).
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return tiny_meta_.size() + wide_meta_.size();
-  }
-
-  // Intrusive, non-atomic reference count keeping the slab alive for the
-  // simulator plus any outstanding EventHandles (so a handle never dangles,
-  // even if it outlives its simulator). Non-atomic is deliberate: a
-  // Simulator, its slab, and all handles to its events are confined to one
-  // thread — BatchRunner gives every run its own simulator on its own
-  // worker — and the shared_ptr this replaces paid two atomic RMWs on every
-  // scheduled event just to construct and discard the returned handle.
-  void retain() noexcept { ++refs_; }
-  void release() noexcept {
-    if (--refs_ == 0) delete this;
-  }
+  [[nodiscard]] std::size_t capacity() const noexcept { return tiny_.size() + wide_.size(); }
 
  private:
   static constexpr std::uint32_t kWideBit = 0x8000'0000u;
-  std::uint32_t refs_ = 1;  // the owning simulator's reference
 
-  struct Meta {
-    std::uint32_t generation = 0;
-    bool alive = false;
-  };
   struct alignas(64) WideFn {  // one cache line per callback, exactly
     EventFn fn;
   };
   static_assert(sizeof(WideFn) == 64);
 
-  [[nodiscard]] const std::vector<Meta>& meta_of(std::uint32_t index) const noexcept {
-    return (index & kWideBit) == 0 ? tiny_meta_ : wide_meta_;
-  }
-  [[nodiscard]] std::vector<Meta>& meta_of(std::uint32_t index) noexcept {
-    return (index & kWideBit) == 0 ? tiny_meta_ : wide_meta_;
-  }
-
-  std::vector<Meta> tiny_meta_;
   std::vector<EventFn::Compressed> tiny_;  // 16-byte compressed callbacks
   std::vector<std::uint32_t> tiny_free_;
-  std::vector<Meta> wide_meta_;
   std::vector<WideFn> wide_;
   std::vector<std::uint32_t> wide_free_;
-};
-
-/// Handle to a scheduled event; cancel() is idempotent. Copyable; each copy
-/// holds a (non-atomic) reference on the simulator's slab, so a handle stays
-/// safe to query even after the simulator is gone — but must stay on the
-/// simulator's thread.
-class EventHandle {
- public:
-  EventHandle() = default;
-
-  EventHandle(const EventHandle& other) noexcept : slab_(other.slab_), ticket_(other.ticket_) {
-    if (slab_) slab_->retain();
-  }
-  EventHandle(EventHandle&& other) noexcept : slab_(other.slab_), ticket_(other.ticket_) {
-    other.slab_ = nullptr;
-  }
-  EventHandle& operator=(const EventHandle& other) noexcept {
-    if (this != &other) {
-      if (other.slab_) other.slab_->retain();
-      if (slab_) slab_->release();
-      slab_ = other.slab_;
-      ticket_ = other.ticket_;
-    }
-    return *this;
-  }
-  EventHandle& operator=(EventHandle&& other) noexcept {
-    if (this != &other) {
-      if (slab_) slab_->release();
-      slab_ = other.slab_;
-      ticket_ = other.ticket_;
-      other.slab_ = nullptr;
-    }
-    return *this;
-  }
-  ~EventHandle() {
-    if (slab_) slab_->release();
-  }
-
-  /// Logically removes the event; a cancelled event never fires.
-  void cancel() const {
-    if (slab_) slab_->cancel(ticket_);
-  }
-
-  /// True when the event is still pending (not fired, not cancelled).
-  [[nodiscard]] bool pending() const noexcept { return slab_ && slab_->alive(ticket_); }
-
- private:
-  friend class Simulator;
-  EventHandle(EventSlab* slab, EventSlab::Ticket ticket) : slab_(slab), ticket_(ticket) {
-    slab_->retain();
-  }
-  EventSlab* slab_ = nullptr;  // shared with the simulator, not per-event
-  EventSlab::Ticket ticket_;
 };
 
 /// Optional view of an externally owned POD ring the kernel writes one
@@ -349,38 +218,41 @@ struct KernelRing {
 /// (callbacks in the event slab) and a timing wheel of pinned entries.
 class Simulator {
  public:
-  Simulator() : slab_(new EventSlab) { reserve(kDefaultReserve); }
+  Simulator() { reserve(kDefaultReserve); }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-  ~Simulator() { slab_->release(); }  // outstanding handles keep the slab alive
 
   /// Current simulated time.
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Schedules `fn` to run at `now() + delay`. `delay` must be >= 0.
-  EventHandle schedule(Time delay, EventFn fn) {
+  /// Schedules `fn` to run at `now() + delay` and returns its id. `delay`
+  /// must be >= 0.
+  EventId schedule(Time delay, EventFn fn) {
     if (delay < 0) throw_negative_delay();
     return schedule_impl(now_ + delay, std::move(fn));
   }
 
-  /// Schedules `fn` at the absolute time `at` (>= now()).
-  EventHandle schedule_at(Time at, EventFn fn) {
+  /// Schedules `fn` at the absolute time `at` (>= now()) and returns its id.
+  EventId schedule_at(Time at, EventFn fn) {
     if (at < now_) throw_past_time();
     return schedule_impl(at, std::move(fn));
   }
+
+  /// Id of the slab event whose callback is running. Meaningful only inside
+  /// a schedule() / schedule_at() callback; pinned events leave it alone.
+  [[nodiscard]] EventId current_event() const noexcept { return current_; }
 
   // --- pinned events --------------------------------------------------------
   //
   // The packet path schedules the SAME component callback over and over: a
   // link's head-of-line delivery, a pipe's chain hop, a sender's pacing
-  // tick. The general schedule() pays slab acquire/retire, callback
-  // compression, and handle refcounting for every one of those — all pure
-  // overhead when the callback never changes and is never cancelled. A
-  // pinned event registers the callback once; scheduling it afterwards is a
-  // bare entry push (24 bytes, zero slab traffic) — an O(1) timing-wheel
-  // bucket append — and firing invokes it in place. Pinned events cannot be
-  // cancelled individually — guard with a component-side flag, as the
-  // protocols' `running_` already does. Execution order remains the global
+  // tick. The general schedule() pays slab acquire/retire and callback
+  // compression for every one of those — pure overhead when the callback
+  // never changes. A pinned event registers the callback once; scheduling
+  // it afterwards is a bare entry push (24 bytes, zero slab traffic) — an
+  // O(1) timing-wheel bucket append — and firing invokes it in place. A
+  // firing the component no longer wants is dropped by a component-side
+  // flag, as the protocols' `running_` does. Execution order remains the global
   // (time, insertion-seq) order shared with slab events: wheel and heap pops
   // merge on the same 128-bit key.
 
@@ -422,22 +294,21 @@ class Simulator {
   /// path.
   void reserve(std::size_t events) {
     heap_.reserve(events);
-    slab_->reserve(events);
+    slab_.reserve(events);
     wheel_.reserve(events);
   }
 
   /// Number of events executed since construction.
   [[nodiscard]] std::uint64_t events_executed() const noexcept { return executed_; }
 
-  /// Number of events currently pending (including cancelled-but-unpopped),
-  /// across both the heap and the wheel.
+  /// Number of events currently pending, across both the heap and the wheel.
   [[nodiscard]] std::size_t queue_size() const noexcept {
     return heap_.size() + wheel_.size();
   }
 
   /// Kernel telemetry: how many entries were popped from the timing wheel
-  /// vs the 4-ary heap — exactly the pinned pops and the slab pops
-  /// (cancelled slab events included).
+  /// vs the 4-ary heap — exactly the pinned pops and the slab pops. Every
+  /// pop runs, so the two sum to events_executed().
   [[nodiscard]] std::uint64_t wheel_pops() const noexcept { return wheel_pops_; }
   [[nodiscard]] std::uint64_t heap_pops() const noexcept { return heap_pops_; }
 
@@ -449,8 +320,8 @@ class Simulator {
   /// them; the workload churn tests assert this stays flat in steady state.
   [[nodiscard]] std::size_t pinned_callbacks() const noexcept { return pinned_.size(); }
 
-  /// Liveness slab (exposed for allocation-churn tests).
-  [[nodiscard]] const EventSlab& slab() const noexcept { return *slab_; }
+  /// Callback slab (exposed for allocation-churn tests).
+  [[nodiscard]] const EventSlab& slab() const noexcept { return slab_; }
 
   /// Installs (or, with a default-constructed ring, removes) the flight
   /// recorder's event ring. See KernelRing for the ownership contract.
@@ -466,11 +337,11 @@ class Simulator {
   /// rvalue reference: the call-site conversion constructs the EventFn once,
   /// and acquire() compresses or moves straight out of that object — no
   /// intermediate 64-byte copies.
-  EventHandle schedule_impl(Time at, EventFn&& fn) {
+  EventId schedule_impl(Time at, EventFn&& fn) {
     at += 0.0;  // normalize -0.0 to +0.0 so the bit-pattern key order holds
-    const EventSlab::Ticket ticket = slab_->acquire(std::move(fn));
-    push_entry(Entry{at, next_seq_++, ticket.index});
-    return EventHandle{slab_, ticket};
+    const EventId id = next_seq_++;
+    push_entry(Entry{at, id, slab_.acquire(std::move(fn))});
+    return id;
   }
 
   void push_entry(Entry e) {
@@ -512,7 +383,8 @@ class Simulator {
   std::uint64_t executed_ = 0;
   std::uint64_t wheel_pops_ = 0;
   std::uint64_t heap_pops_ = 0;
-  EventSlab* slab_;  // intrusively refcounted; see EventSlab::retain/release
+  EventId current_ = 0;  // seq of the running slab event
+  EventSlab slab_;
   std::vector<Entry> heap_;  // slab entries, 4-ary: children of i at 4i+1 .. 4i+4
   std::deque<EventFn> pinned_;  // deque: pin() during a run never relocates
   TimingWheel wheel_;  // pinned entries; merged with the heap at pop

@@ -197,7 +197,8 @@ void TcpConnection::arm_rto() {
 
 void TcpConnection::rto_event() {
   if (!snd_.running) return;
-  const bool due = rto_timer_.fire(net_.simulator().now(), [this](double at) {
+  sim::Simulator& sim = net_.simulator();
+  const bool due = rto_timer_.fire(sim.current_event(), sim.now(), [this](double at) {
     return net_.simulator().schedule_at(at, [this] { rto_event(); });
   });
   if (due) on_timeout();
@@ -265,7 +266,8 @@ void TcpConnection::on_data_at_receiver(const net::Packet& p) {
 
 void TcpConnection::delack_event() {
   if (!snd_.running) return;
-  const bool due = delack_timer_.fire(net_.simulator().now(), [this](double at) {
+  sim::Simulator& sim = net_.simulator();
+  const bool due = delack_timer_.fire(sim.current_event(), sim.now(), [this](double at) {
     return net_.simulator().schedule_at(at, [this] { delack_event(); });
   });
   if (due) send_ack(rcv_.last_echo);

@@ -56,7 +56,8 @@ class TcpConnection {
   // RTT-estimator state to a fresh connection's while cumulative counters
   // and the loss-event recorder keep accumulating. finish_transfer retires
   // the flow when the final byte is acknowledged: it cancels the LazyTimers,
-  // and any stale kernel event dies against `snd_.running`. The pool
+  // and any stale kernel event dies against `snd_.running` or, once the
+  // slot is reopened, against its timer's live event id. The pool
   // quarantines retired slots for a drain interval, so no packet of a
   // previous transfer can reach the next incarnation.
 

@@ -3,10 +3,13 @@
 // The kernel rewrite (4-ary POD heap + slab-owned InlineFunction callbacks)
 // promises bit-identical event execution order to the original
 // std::priority_queue<Entry> kernel. This test pins that promise: it drives a
-// mixed schedule / cancel / reschedule workload — self-scheduling events,
-// equal-time FIFO ties, cancellations of both pending and stale handles —
-// and asserts the execution order matches the recording taken from the seed
-// kernel (commit c65dbf6) before the rewrite.
+// mixed schedule / withdraw / reschedule workload — self-scheduling events,
+// equal-time FIFO ties, withdrawals of both pending and already-fired events
+// — and asserts the execution order matches the recording taken from the
+// seed kernel (commit c65dbf6) before the rewrite. The seed kernel cancelled
+// events; the kernel now runs every event, so a withdrawn one returns on its
+// guard flag before it records or draws, which leaves the order unchanged
+// and only adds the withdrawn firings to events_executed().
 //
 // If this test ever fails, the kernel's ordering semantics changed: that is a
 // correctness regression for every seeded experiment in the repo, not a test
@@ -26,7 +29,7 @@ namespace {
 struct Workload {
   ebrc::sim::Simulator sim;
   std::vector<int> order;
-  std::vector<ebrc::sim::EventHandle> handles;
+  std::vector<char> withdrawn;  // per event id
   std::uint64_t rng_state = 0x243F6A8885A308D3ull;  // pi digits, fixed forever
   int next_id = 0;
   int spawned = 0;
@@ -42,23 +45,22 @@ struct Workload {
   void schedule_one(std::uint64_t ms) {
     const int id = next_id++;
     ++spawned;
-    handles.push_back(sim.schedule(static_cast<double>(ms) * 1e-3, [this, id] { fire(id); }));
+    withdrawn.push_back(0);
+    sim.schedule(static_cast<double>(ms) * 1e-3, [this, id] { fire(id); });
   }
 
   void fire(int id) {
+    if (withdrawn[id] != 0) return;
     order.push_back(id);
     const std::uint64_t r = next();
     // ~3/4 of firings spawn a child somewhere in the next 500 ms (modulo
     // collisions produce plenty of equal-time ties for the FIFO tie-break).
     if (spawned < kMaxSpawned && (r & 3u) != 0) schedule_one((r >> 8) % 500);
-    // ~1/4 cancel a random handle (often already stale — exercises
-    // generation checks).
-    if ((r & 12u) == 0 && !handles.empty()) {
-      handles[(r >> 16) % handles.size()].cancel();
-    }
-    // ~1/4 "reschedule": cancel one pending timer and spawn a replacement.
+    // ~1/4 withdraw a random event (often one that already fired).
+    if ((r & 12u) == 0 && !withdrawn.empty()) withdrawn[(r >> 16) % withdrawn.size()] = 1;
+    // ~1/4 "reschedule": withdraw one pending timer and spawn a replacement.
     if ((r & 48u) == 16 && spawned < kMaxSpawned) {
-      if (!handles.empty()) handles[(r >> 24) % handles.size()].cancel();
+      if (!withdrawn.empty()) withdrawn[(r >> 24) % withdrawn.size()] = 1;
       schedule_one((r >> 32) % 300);
     }
   }
@@ -106,7 +108,7 @@ TEST(GoldenDeterminism, RerunIsBitIdentical) {
 // self-rescheduling pinned chains whose delay mix spans every wheel regime
 // (same-instant double-bookings, sub-64 ms level-0 hops, 0–20 s cascade
 // crossers, multi-kilosecond overflow residents) interleaved with slab
-// events and cancellations. Entries 1000+p are pinned chain p; 0–119 are
+// events and withdrawals. Entries 1000+p are pinned chain p; 0–119 are
 // slab event ids.
 const std::vector<int> kGoldenMixedOrder = {
     1000, 1, 8, 6, 1005, 1000, 5, 13, 1000, 1003, 7, 1000,

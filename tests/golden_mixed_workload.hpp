@@ -4,9 +4,11 @@
 // pinned callbacks (the timing-wheel path) self-rescheduling with a delay
 // mix that spans every wheel regime (equal-time ties, level-0 short hops,
 // mid-range cascade boundaries, far-future overflow), interleaved with
-// ordinary slab events and handle cancellations. Keep it byte-identical to
+// ordinary slab events and withdrawals of them. Keep it byte-identical to
 // the generator that produced the recorded order in
-// golden_determinism_test.cpp; any change invalidates the recording.
+// golden_determinism_test.cpp; any change invalidates the recording. (The
+// generator cancelled events in the kernel; a withdrawn event now returns on
+// its guard flag before it records or draws, which keeps the order.)
 #pragma once
 
 #include <cstdint>
@@ -19,7 +21,7 @@ namespace golden {
 struct MixedWorkload {
   ebrc::sim::Simulator sim;
   std::vector<int> order;
-  std::vector<ebrc::sim::EventHandle> handles;
+  std::vector<char> withdrawn;  // per slab event id
   std::uint64_t rng_state = 0x9E3779B97F4A7C15ull;  // phi, fixed forever
   int slab_spawned = 0;
   std::uint64_t pinned_fires = 0;
@@ -55,18 +57,17 @@ struct MixedWorkload {
       if ((r & 0x30u) == 0) sim.schedule_pinned(delay, pins[(r >> 16) % kPinned]);
     }
     if ((r & 0xC0u) == 0 && slab_spawned < kMaxSlab) spawn_slab((r >> 24) % 2000);
-    if ((r & 0x300u) == 0 && !handles.empty()) {
-      handles[(r >> 32) % handles.size()].cancel();
-    }
+    if ((r & 0x300u) == 0 && !withdrawn.empty()) withdrawn[(r >> 32) % withdrawn.size()] = 1;
   }
 
   void spawn_slab(std::uint64_t ms) {
     const int id = slab_spawned++;
-    handles.push_back(
-        sim.schedule(static_cast<double>(ms) * 1e-3, [this, id] { slab_fire(id); }));
+    withdrawn.push_back(0);
+    sim.schedule(static_cast<double>(ms) * 1e-3, [this, id] { slab_fire(id); });
   }
 
   void slab_fire(int id) {
+    if (withdrawn[id] != 0) return;
     order.push_back(id);
     const std::uint64_t r = next();
     if ((r & 3u) != 0 && slab_spawned < kMaxSlab) spawn_slab((r >> 8) % 700);

@@ -271,9 +271,9 @@ TEST(ObsEndToEnd, SnapshotCarriesKernelNetAndWorkloadInstruments) {
   EXPECT_TRUE(snap_has(r.obs, "queue_drop_occupancy_count"));
   EXPECT_TRUE(snap_has(r.obs, "wl_opens_tfrc"));
   EXPECT_TRUE(snap_has(r.obs, "wl_completion_s_p90"));
-  // Pops split across wheel and heap cover every executed event, plus the
-  // pops that drained cancelled slab entries — so >=, not ==.
-  EXPECT_GE(snap_value(r.obs, "kernel_wheel_pops") +
+  // Every popped entry runs, so the wheel and heap pops split the executed
+  // events exactly.
+  EXPECT_EQ(snap_value(r.obs, "kernel_wheel_pops") +
                 snap_value(r.obs, "kernel_heap_pops"),
             snap_value(r.obs, "kernel_events"));
   // The probe-only aggregate-rate gauge must NOT be in the snapshot.

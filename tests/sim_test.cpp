@@ -3,13 +3,15 @@
 #include <functional>
 #include <vector>
 
+#include "sim/lazy_timer.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "stats/online.hpp"
 
 namespace {
 
-using ebrc::sim::EventHandle;
+using ebrc::sim::EventId;
+using ebrc::sim::LazyTimer;
 using ebrc::sim::Rng;
 using ebrc::sim::Simulator;
 
@@ -35,16 +37,21 @@ TEST(Simulator, FifoTieBreakAtEqualTimes) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(Simulator, CancelledEventNeverFires) {
+TEST(Simulator, EventIdsAreInsertionSequenceNumbers) {
+  // Pinned and slab events share one sequence, so a slab event's id counts
+  // the pinned entries scheduled before it too.
   Simulator s;
-  bool fired = false;
-  EventHandle h = s.schedule(1.0, [&] { fired = true; });
-  EXPECT_TRUE(h.pending());
-  h.cancel();
-  EXPECT_FALSE(h.pending());
+  const auto pinned = s.pin([] {});
+  std::vector<EventId> ran;
+  const EventId a = s.schedule(2.0, [&] { ran.push_back(s.current_event()); });
+  s.schedule_pinned(1.0, pinned);
+  const EventId b = s.schedule_at(1.0, [&] { ran.push_back(s.current_event()); });
+  EXPECT_EQ(a, 0u);
+  EXPECT_EQ(b, 2u);
   s.run();
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(s.events_executed(), 0u);
+  EXPECT_EQ(ran, (std::vector<EventId>{b, a}));
+  EXPECT_EQ(s.events_executed(), 3u);
+  EXPECT_EQ(s.wheel_pops() + s.heap_pops(), s.events_executed());
 }
 
 TEST(Simulator, RunUntilStopsTheClock) {
@@ -83,62 +90,6 @@ TEST(Simulator, SlabRecyclesSlotsInsteadOfGrowing) {
   s.run();
   EXPECT_EQ(count, 1000);
   EXPECT_LE(s.slab().capacity(), 4u);
-}
-
-TEST(Simulator, StaleHandleDoesNotCancelRecycledSlot) {
-  Simulator s;
-  bool first_fired = false, second_fired = false;
-  EventHandle h1 = s.schedule(1.0, [&] { first_fired = true; });
-  s.run_until(2.0);
-  EXPECT_TRUE(first_fired);
-  EXPECT_FALSE(h1.pending());
-  // The next event reuses h1's slot under a new generation; cancelling the
-  // stale handle must not touch it.
-  EventHandle h2 = s.schedule(1.0, [&] { second_fired = true; });
-  h1.cancel();
-  EXPECT_TRUE(h2.pending());
-  s.run();
-  EXPECT_TRUE(second_fired);
-}
-
-TEST(Simulator, HandleReportsNotPendingInsideOwnCallback) {
-  Simulator s;
-  EventHandle h;
-  bool pending_inside = true;
-  h = s.schedule(1.0, [&] { pending_inside = h.pending(); });
-  s.run();
-  EXPECT_FALSE(pending_inside);
-}
-
-TEST(Simulator, CancelIsIdempotentAndSafeAfterFire) {
-  Simulator s;
-  EventHandle h = s.schedule(1.0, [] {});
-  h.cancel();
-  h.cancel();  // idempotent
-  s.run();
-  h.cancel();  // safe after the queue drained
-  EXPECT_FALSE(h.pending());
-  EventHandle default_constructed;
-  default_constructed.cancel();  // no slab attached: no-op
-  EXPECT_FALSE(default_constructed.pending());
-}
-
-TEST(Simulator, HandleOutlivesSimulatorSafely) {
-  // Handles hold a reference on the slab: querying or cancelling one after
-  // its simulator is gone must be safe, not a use-after-free. (As in the
-  // original shared_ptr-slab kernel, an event that never fired still reports
-  // pending — the slot was never retired — and cancel() still withdraws it.)
-  EventHandle h;
-  {
-    Simulator s;
-    h = s.schedule(1.0, [] {});
-    EXPECT_TRUE(h.pending());
-  }
-  EXPECT_TRUE(h.pending());
-  EventHandle copy = h;
-  h.cancel();
-  EXPECT_FALSE(h.pending());
-  EXPECT_FALSE(copy.pending());
 }
 
 TEST(Simulator, WideCaptureSlotsRecycleLikeTinyOnes) {
@@ -318,6 +269,85 @@ TEST(Simulator, WallDeadlinePreemptsAnInfiniteEventChain) {
   s2.schedule(1.0, [&] { ++fired; });
   s2.run();
   EXPECT_EQ(fired, 1);
+}
+
+
+// Drives one LazyTimer the way TCP drives its RTO: the kernel event hands
+// fire() its own id, and a due deadline records the action time.
+struct TimerRig {
+  Simulator sim;
+  LazyTimer timer;
+  std::vector<double> actions;
+
+  EventId schedule(double at) {
+    return sim.schedule_at(at, [this] { on_event(); });
+  }
+  void arm(double at) {
+    timer.arm(at, [this](double t) { return schedule(t); });
+  }
+  void on_event() {
+    if (timer.fire(sim.current_event(), sim.now(), [this](double t) { return schedule(t); })) {
+      actions.push_back(sim.now());
+    }
+  }
+};
+
+TEST(LazyTimer, RearmedLaterOneEventChasesTheDeadline) {
+  TimerRig r;
+  r.arm(1.0);
+  r.sim.run_until(0.5);
+  r.arm(2.0);  // extension: a store, no new kernel event
+  EXPECT_EQ(r.sim.queue_size(), 1u);
+  r.sim.run();
+  EXPECT_EQ(r.actions, (std::vector<double>{2.0}));
+  EXPECT_EQ(r.sim.events_executed(), 2u);  // the 1.0 firing re-arms at 2.0
+  EXPECT_FALSE(r.timer.active());
+}
+
+TEST(LazyTimer, RearmedEarlierSupersededFiringIsANoOp) {
+  TimerRig r;
+  r.arm(2.0);
+  r.sim.run_until(0.5);
+  r.arm(1.0);  // the event at 2.0 is too late: a new one goes in at 1.0
+  EXPECT_EQ(r.sim.queue_size(), 2u);
+  r.sim.run();
+  EXPECT_EQ(r.actions, (std::vector<double>{1.0}));
+  EXPECT_EQ(r.sim.events_executed(), 2u);  // the 2.0 firing runs and dies
+  EXPECT_DOUBLE_EQ(r.sim.now(), 2.0);
+}
+
+TEST(LazyTimer, DisarmedThenRearmedReusesTheLiveEvent) {
+  TimerRig r;
+  r.arm(1.0);
+  r.sim.run_until(0.5);
+  r.timer.disarm();
+  EXPECT_FALSE(r.timer.active());
+  r.arm(1.0);
+  EXPECT_EQ(r.sim.queue_size(), 1u);
+  r.sim.run();
+  EXPECT_EQ(r.actions, (std::vector<double>{1.0}));
+  EXPECT_EQ(r.sim.events_executed(), 1u);
+
+  // Disarmed and left alone, the firing dies without acting.
+  r.arm(3.0);
+  r.timer.disarm();
+  r.sim.run();
+  EXPECT_EQ(r.actions, (std::vector<double>{1.0}));
+  EXPECT_EQ(r.sim.events_executed(), 2u);
+}
+
+TEST(LazyTimer, CancelledThenRearmedWithdrawnFiringIsANoOp) {
+  TimerRig r;
+  r.arm(1.0);
+  r.sim.run_until(0.5);
+  r.timer.cancel();
+  r.arm(1.5);  // the withdrawn event cannot be reused: a new one at 1.5
+  EXPECT_EQ(r.sim.queue_size(), 2u);
+  r.sim.run();
+  // The 1.0 firing must not chase the live deadline: that would schedule a
+  // third event.
+  EXPECT_EQ(r.actions, (std::vector<double>{1.5}));
+  EXPECT_EQ(r.sim.events_executed(), 2u);
 }
 
 }  // namespace
