@@ -58,9 +58,9 @@ namespace ebrc::testbed {
 
 /// Behavioral version of the simulator: bump by hand on any change that
 /// alters sample paths, metric definitions or any cached value (new RNG,
-/// packet-path reorder, metric redefinition, fewer kernel events in the
-/// kernel_* obs, ...). Result schema changes are salted on their own.
-inline constexpr std::uint64_t kBehaviorVersion = 9;
+/// packet-path reorder, metric redefinition, a different kernel event count
+/// in the kernel_* obs, ...). Result schema changes are salted on their own.
+inline constexpr std::uint64_t kBehaviorVersion = 10;
 
 /// FNV-1a over the result schema as visit_result walks it: each field's wire
 /// kind and name in order, list elements included.

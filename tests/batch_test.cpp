@@ -173,7 +173,7 @@ TEST(AggregateGolden, StaticNs2Batch) {
 
 TEST(AggregateGolden, ChurnBatchPerController) {
   EXPECT_AGGREGATE(churn_batch("tfrc"), 0xbea890cb4e28125full, 0x329458ace3542966ull);
-  EXPECT_AGGREGATE(churn_batch("tcp"), 0xf09d7052029454a3ull, 0xd5b8201f574cde2bull);
+  EXPECT_AGGREGATE(churn_batch("tcp"), 0xf09d7052029454a3ull, 0x1cf96094f1bf9ab3ull);
   EXPECT_AGGREGATE(churn_batch("delay_aimd"), 0x41ce72511bae795eull, 0xbaac9c771794d330ull);
   EXPECT_AGGREGATE(churn_batch("rcp"), 0x971464d299cee286ull, 0x2bb8831ab0cded12ull);
 }

@@ -87,7 +87,7 @@ TEST(GoldenDeterminism, ExecutionOrderMatchesSeedKernelRecording) {
   Workload w;
   w.run();
   EXPECT_EQ(w.spawned, 142);
-  EXPECT_EQ(w.sim.events_executed(), 128u);
+  EXPECT_EQ(w.sim.events_executed(), 142u);
   EXPECT_DOUBLE_EQ(w.sim.now(), 4.5629999999999997);
   ASSERT_EQ(w.order.size(), kGoldenOrder.size());
   for (std::size_t i = 0; i < kGoldenOrder.size(); ++i) {
@@ -152,7 +152,7 @@ TEST(GoldenDeterminism, MixedPinnedSlabOrderMatchesHeapKernelRecording) {
   w.run();
   EXPECT_EQ(w.slab_spawned, 120);
   EXPECT_EQ(w.pinned_fires, 314u);
-  EXPECT_EQ(w.sim.events_executed(), 409u);
+  EXPECT_EQ(w.sim.events_executed(), 434u);
   EXPECT_DOUBLE_EQ(w.sim.now(), 4434.9679999999998);
   ASSERT_EQ(w.order.size(), kGoldenMixedOrder.size());
   for (std::size_t i = 0; i < kGoldenMixedOrder.size(); ++i) {

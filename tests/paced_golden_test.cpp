@@ -20,8 +20,9 @@
 // controller's behaviour changed: that is a regression of every seeded
 // result in the repository, not a test to update. The counted and full
 // constants also pin how many events the kernel executed, so a change that
-// schedules fewer events for the same sample paths (an idle feedback chain
-// that parks instead of ticking) moves them and only them; they are
+// executes more or fewer events for the same sample paths (an idle feedback
+// chain that parks instead of ticking, a withdrawn timer that now runs as a
+// no-op) moves them and only them; they are
 // re-recorded with such a change, and its CHANGES.md entry lists the old
 // and new counts.
 #include <gtest/gtest.h>
@@ -166,7 +167,7 @@ TEST(PacedGolden, Aimd) {
 
 TEST(PacedGolden, TcpControl) {
   EXPECT_CELL(run_cell<tcp::TcpConnection>(true, tcp::TcpConfig{}, false), 0x4402db6c2f30c0d0ull,
-              0xd0e373ecb0de55b8ull);
+              0x95e49c9104a1229dull);
 }
 
 // ---- whole cells through run_experiment + the result codec ------------------
@@ -212,14 +213,14 @@ TEST(PacedGolden, ChurnCellPerController) {
   EXPECT_RESULT(churn_cell("tfrc"), 0xb24f7178c99e4925ull, 0xe3f2c80d0b55f54bull);
   EXPECT_RESULT(churn_cell("delay_aimd"), 0xdcafba1d8398bc93ull, 0xd94cde3a11fbaf2aull);
   EXPECT_RESULT(churn_cell("rcp"), 0x5e89f655153c4615ull, 0xbffbf2fd2ff506b3ull);
-  EXPECT_RESULT(churn_cell("tcp"), 0x7bf3b8e7a17c937dull, 0x428fb69a20b4b496ull);
+  EXPECT_RESULT(churn_cell("tcp"), 0x7bf3b8e7a17c937dull, 0x042cb9af6bd205e3ull);
 }
 
 TEST(PacedGolden, StaticNs2Cell) {
   auto s = testbed::ns2_scenario(/*n_tfrc=*/4, /*n_tcp=*/4, /*history_length=*/8, /*seed=*/5);
   s.duration_s = 20.0;
   s.warmup_s = 4.0;
-  EXPECT_RESULT(s, 0x68786268e7c881b3ull, 0x438302d397186a12ull);
+  EXPECT_RESULT(s, 0x68786268e7c881b3ull, 0x82da30f355c59313ull);
 }
 
 }  // namespace
