@@ -18,9 +18,14 @@ Cli::Cli(int argc, const char* const* argv) {
     }
     arg.erase(0, 2);
     if (arg.empty()) throw std::invalid_argument("bare '--' is not a valid flag");
+    const auto set = [this](const std::string& name, std::optional<std::string> value) {
+      if (!flags_.emplace(name, std::move(value)).second) {
+        throw std::invalid_argument("flag --" + name + " given more than once");
+      }
+    };
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
-      flags_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      set(arg.substr(0, eq), arg.substr(eq + 1));
       continue;
     }
     // `--flag value` form: consume the next token only when it parses as a
@@ -32,9 +37,9 @@ Cli::Cli(int argc, const char* const* argv) {
       return end == s.c_str() + s.size();
     };
     if (i + 1 < argc && is_number(argv[i + 1])) {
-      flags_[arg] = std::string(argv[++i]);
+      set(arg, std::string(argv[++i]));
     } else {
-      flags_[arg] = std::nullopt;
+      set(arg, std::nullopt);
     }
   }
 }
@@ -52,14 +57,19 @@ double Cli::get(const std::string& name, double fallback) const {
   if (it == flags_.end() || !it->second) return fallback;
   const std::string& v = *it->second;
   // Whole-token parse: std::stod would silently read "10s" as 10.
+  double parsed = 0.0;
   try {
     std::size_t pos = 0;
-    const double parsed = std::stod(v, &pos);
+    parsed = std::stod(v, &pos);
     if (pos != v.size()) throw std::invalid_argument("trailing characters");
-    return parsed;
   } catch (const std::exception&) {
     throw std::invalid_argument("flag --" + name + " expects a number, got '" + v + "'");
   }
+  // NaN slips past every `<= 0` range guard, so no caller sees one.
+  if (!std::isfinite(parsed)) {
+    throw std::invalid_argument("flag --" + name + " expects a finite number, got '" + v + "'");
+  }
+  return parsed;
 }
 
 int Cli::get(const std::string& name, int fallback) const {

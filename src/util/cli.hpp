@@ -1,8 +1,8 @@
 // Minimal command-line flag parser used by the bench and example binaries.
 //
-// Supports `--flag`, `--flag=value` and `--flag value` forms. Unknown flags
-// raise an error so typos in experiment scripts do not silently run the
-// default configuration.
+// Supports `--flag`, `--flag=value` and `--flag value` forms. Unknown and
+// repeated flags raise an error so typos in experiment scripts do not
+// silently run the default (or the last-spelled) configuration.
 #pragma once
 
 #include <cstdint>
@@ -15,13 +15,15 @@ namespace ebrc::util {
 
 class Cli {
  public:
-  /// Parses argv. Throws std::invalid_argument on malformed input.
+  /// Parses argv. Throws std::invalid_argument on malformed input or a flag
+  /// given more than once.
   Cli(int argc, const char* const* argv);
 
   /// True when `--name` was present (with or without a value).
   [[nodiscard]] bool has(const std::string& name) const;
 
-  /// Value of `--name` or `fallback` when absent.
+  /// Value of `--name` or `fallback` when absent. The numeric overloads
+  /// parse the whole token; the double one also rejects `nan` and `inf`.
   [[nodiscard]] std::string get(const std::string& name, const std::string& fallback) const;
   [[nodiscard]] double get(const std::string& name, double fallback) const;
   [[nodiscard]] int get(const std::string& name, int fallback) const;

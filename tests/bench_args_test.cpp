@@ -96,6 +96,44 @@ TEST(BenchArgs, StrictParsingRejectsUnitSuffixes) {
   }
 }
 
+/// The message of the std::invalid_argument that parsing `args` throws, or
+/// "" if it parses.
+std::string rejection_of(std::vector<std::string> args) {
+  Argv a(std::move(args));
+  try {
+    BenchArgs parsed(a.argc(), a.argv(), ebrc::bench::kSweepFlags);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BenchArgs, NonFiniteValuesRejectedNamingTheFlag) {
+  // NaN compares false against every bound, so `<= 0` guards let it through:
+  // --duration=nan ran every cell and printed empty tables, and
+  // --cell-deadline=nan armed no deadline.
+  for (const char* flag : {"duration", "cell-deadline", "retry-backoff", "probe-interval"}) {
+    for (const char* v : {"nan", "inf"}) {
+      const std::string msg = rejection_of({std::string("--") + flag + "=" + v});
+      EXPECT_NE(msg.find(std::string("--") + flag), std::string::npos)
+          << flag << "=" << v << ": " << msg;
+    }
+  }
+}
+
+TEST(BenchArgs, RepeatedFlagRejected) {
+  const std::string msg = rejection_of({"--seed=1", "--seed=2"});
+  EXPECT_NE(msg.find("--seed"), std::string::npos) << msg;
+}
+
+TEST(BenchArgs, PositionalRejectedNamingIt) {
+  // The space form takes numbers only, so `--csv out.csv` leaves out.csv as
+  // a positional that nothing reads: the run wrote no CSV and exited 0.
+  const std::string msg = rejection_of({"--csv", "out.csv"});
+  EXPECT_NE(msg.find("out.csv"), std::string::npos) << msg;
+  EXPECT_NE(rejection_of({"stray"}), "");
+}
+
 TEST(BenchArgs, RangeGuardsStillFire) {
   {
     Argv a({"--reps=0"});

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "testbed/experiment.hpp"
 #include "testbed/scenario.hpp"
 #include "testbed/wan_paths.hpp"
@@ -92,6 +96,21 @@ TEST(Experiment, Validation) {
   s.duration_s = 10.0;
   s.warmup_s = 20.0;
   EXPECT_THROW((void)run_experiment(s), std::invalid_argument);
+}
+
+TEST(Experiment, NonFiniteDurationOrWarmupRejected) {
+  // A scenario file can spell `duration_s = nan`: NaN compares false against
+  // the warm-up, so an ordering check alone ran the cell and printed NaN
+  // metrics.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [duration, warmup] : std::vector<std::pair<double, double>>{
+           {nan, 1.0}, {inf, 1.0}, {10.0, nan}, {10.0, -inf}}) {
+    Scenario s = ns2_scenario(1, 1, 8, 1);
+    s.duration_s = duration;
+    s.warmup_s = warmup;
+    EXPECT_THROW((void)run_experiment(s), std::invalid_argument) << duration << " " << warmup;
+  }
 }
 
 TEST(WanPaths, TableOneShape) {

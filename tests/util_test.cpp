@@ -63,6 +63,40 @@ TEST(Cli, UnknownFlagRejected) {
   EXPECT_THROW(cli.finish(), std::invalid_argument);
 }
 
+/// The message of the std::invalid_argument `f` throws, or "" if none.
+template <typename F>
+std::string invalid_argument_of(F&& f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, NonFiniteNumberRejectedNamingTheFlag) {
+  for (const char* v : {"--x=nan", "--x=NaN", "--x=inf", "--x=-inf", "--x=infinity"}) {
+    const char* argv[] = {"prog", v};
+    const Cli cli(2, argv);
+    const std::string msg = invalid_argument_of([&] { (void)cli.get("x", 1.0); });
+    EXPECT_NE(msg.find("--x"), std::string::npos) << v << ": " << msg;
+  }
+  const char* argv[] = {"prog", "--x=1e308"};
+  EXPECT_DOUBLE_EQ(Cli(2, argv).get("x", 1.0), 1e308);
+}
+
+TEST(Cli, RepeatedFlagRejectedNamingIt) {
+  const std::vector<std::pair<std::string, std::vector<const char*>>> cases = {
+      {"--seed", {"prog", "--seed=1", "--seed=2"}},
+      {"--seed", {"prog", "--seed", "1", "--seed=1"}},
+      {"--verbose", {"prog", "--verbose", "--verbose"}}};
+  for (const auto& [flag, argv] : cases) {
+    const std::string msg = invalid_argument_of(
+        [&] { Cli(static_cast<int>(argv.size()), argv.data()); });
+    EXPECT_NE(msg.find(flag), std::string::npos) << msg;
+  }
+}
+
 TEST(Cli, UnknownFlagErrorListsKnownFlags) {
   const char* argv[] = {"prog", "--oops"};
   Cli cli(2, argv);
