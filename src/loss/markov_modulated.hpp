@@ -25,7 +25,6 @@ class MarkovModulatedProcess final : public LossIntervalProcess {
   [[nodiscard]] double next() override;
   [[nodiscard]] double mean() const override;
   [[nodiscard]] std::string name() const override { return "markov-modulated"; }
-  [[nodiscard]] std::size_t current_phase() const noexcept { return phase_; }
 
  private:
   std::vector<Phase> phases_;

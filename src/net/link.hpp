@@ -113,7 +113,6 @@ class Link {
   [[nodiscard]] Queue& queue() noexcept { return queue_; }
   [[nodiscard]] const Queue& queue() const noexcept { return queue_; }
   [[nodiscard]] double rate_bps() const noexcept { return rate_bps_; }
-  [[nodiscard]] double prop_delay() const noexcept { return prop_delay_s_; }
   /// Total packets admitted for forwarding (every one of them is delivered
   /// after its fixed transit time).
   [[nodiscard]] std::uint64_t delivered() const noexcept { return delivered_; }

@@ -165,12 +165,6 @@ class InlineFunction<R(Args...), Capacity> {
   /// Inline buffer size in bytes.
   [[nodiscard]] static constexpr std::size_t capacity() noexcept { return Capacity; }
 
-  /// Whether a callable of type D would be stored inline (compile-time).
-  template <typename D>
-  [[nodiscard]] static constexpr bool would_store_inline() noexcept {
-    return stores_inline_v<std::decay_t<D>>;
-  }
-
  private:
   struct VTable {
     R (*invoke)(void* obj, Args&&... args);

@@ -2,9 +2,6 @@
 
 namespace ebrc::stats {
 
-LossEventRecorder::LossEventRecorder(double rtt_window, bool store_series)
-    : rtt_window_(rtt_window), store_series_(store_series) {}
-
 void LossEventRecorder::on_packet(double /*t*/) noexcept {
   ++packets_;
   ++packets_since_event_;
@@ -17,11 +14,9 @@ bool LossEventRecorder::on_loss(double t) {
   }
   if (have_event_) {
     // Close the previous interval; X_n is the rate set when it started.
-    if (store_series_) {
-      theta_.push_back(static_cast<double>(packets_since_event_));
-      s_.push_back(t - last_event_t_);
-      x_.push_back(rate_at_interval_start_);
-    }
+    theta_.push_back(static_cast<double>(packets_since_event_));
+    s_.push_back(t - last_event_t_);
+    x_.push_back(rate_at_interval_start_);
   } else {
     packets_at_first_event_ = packets_;
   }

@@ -22,7 +22,7 @@ class LossEventRecorder {
  public:
   /// `rtt_window`: losses within this many seconds of the event start are
   /// merged into the event (use the connection's smoothed RTT).
-  explicit LossEventRecorder(double rtt_window, bool store_series = true);
+  explicit LossEventRecorder(double rtt_window) : rtt_window_(rtt_window) {}
 
   /// Updates the merge window as the RTT estimate evolves.
   void set_rtt_window(double rtt_window) noexcept { rtt_window_ = rtt_window; }
@@ -48,7 +48,7 @@ class LossEventRecorder {
   /// 0 before any packet.
   [[nodiscard]] double loss_event_rate() const noexcept;
 
-  /// Completed loss-event intervals theta_n in packets (needs store_series).
+  /// Completed loss-event intervals theta_n in packets.
   [[nodiscard]] const std::vector<double>& intervals_packets() const noexcept {
     return theta_;
   }
@@ -59,13 +59,6 @@ class LossEventRecorder {
   /// Send rate X_n at the start of interval n (parallel to intervals_*).
   [[nodiscard]] const std::vector<double>& rates_at_event() const noexcept { return x_; }
 
-  /// Packets sent since the current (open) loss event started.
-  [[nodiscard]] std::uint64_t open_interval_packets() const noexcept {
-    return packets_since_event_;
-  }
-  /// Time of the most recent loss-event start; negative before any event.
-  [[nodiscard]] double last_event_time() const noexcept { return last_event_t_; }
-
  private:
   double rtt_window_;
   std::uint64_t packets_ = 0;
@@ -74,7 +67,6 @@ class LossEventRecorder {
   std::uint64_t packets_since_event_ = 0;
   std::uint64_t packets_at_first_event_ = 0;
   double last_event_t_ = -1.0;
-  bool store_series_;
   bool have_event_ = false;
   bool awaiting_rate_ = false;
   double rate_at_interval_start_ = 0.0;

@@ -64,8 +64,6 @@ class OnlineCovariance {
   void add(double x, double y) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean_x() const noexcept { return mx_; }
-  [[nodiscard]] double mean_y() const noexcept { return my_; }
   /// Unbiased sample covariance; 0 when fewer than two samples.
   [[nodiscard]] double covariance() const noexcept;
   /// Pearson correlation; 0 when either variance vanishes.

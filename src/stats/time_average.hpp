@@ -42,7 +42,6 @@ class TimeWeightedAverage {
   [[nodiscard]] double average() const noexcept {
     return elapsed_ > 0.0 ? integral_ / elapsed_ : 0.0;
   }
-  [[nodiscard]] double current_value() const noexcept { return value_; }
   [[nodiscard]] bool started() const noexcept { return started_; }
 
  private:

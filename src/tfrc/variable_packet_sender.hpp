@@ -51,7 +51,6 @@ class VariablePacketSender {
   [[nodiscard]] double normalized_throughput() const;
   /// Squared coefficient of variation of hat-theta — Figure 6, bottom panel.
   [[nodiscard]] double cv_thetahat_sq() const;
-  [[nodiscard]] std::uint64_t packets_sent() const noexcept { return packets_; }
   [[nodiscard]] std::uint64_t loss_events() const noexcept { return events_; }
 
  private:

@@ -14,12 +14,6 @@ constexpr T sq(T x) noexcept {
   return x * x;
 }
 
-/// Cube of a value.
-template <typename T>
-constexpr T cube(T x) noexcept {
-  return x * x * x;
-}
-
 /// True when |a - b| <= tol * max(1, |a|, |b|) (mixed absolute/relative).
 inline bool close(double a, double b, double tol = 1e-9) noexcept {
   const double scale = std::max({1.0, std::abs(a), std::abs(b)});
@@ -30,11 +24,6 @@ inline bool close(double a, double b, double tol = 1e-9) noexcept {
 inline double clamp(double x, double lo, double hi) noexcept {
   assert(lo <= hi);
   return x < lo ? lo : (x > hi ? hi : x);
-}
-
-/// Linear interpolation between a and b.
-constexpr double lerp(double a, double b, double t) noexcept {
-  return a + (b - a) * t;
 }
 
 /// Positive infinity shorthand.

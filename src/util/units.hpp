@@ -1,17 +1,15 @@
-// Typed quantities for rate-controller code: DataRate, TimeDelta, Timestamp.
+// Typed quantities for rate-controller code: DataRate and TimeDelta.
 //
-// The controller zoo (delay_aimd/, rcp/) mixes three kinds of scalar —
-// sending rates, durations, and absolute simulated instants — whose raw
-// `double` representations are mutually assignable, which is exactly the
-// int-truncating-seed class of bug the ROADMAP calls out. These wrappers are
-// zero-cost (one double, fully constexpr, trivially copyable) but make the
-// unit part of the type: a DataRate cannot be added to a TimeDelta, a
-// Timestamp minus a Timestamp is a TimeDelta, and every boundary to the raw
-// simulator/packet world is an explicit accessor call.
+// The controller zoo (delay_aimd/, rcp/) mixes sending rates and durations
+// whose raw `double` representations are mutually assignable. These
+// wrappers are zero-cost (one double, fully constexpr, trivially copyable)
+// but make the unit part of the type: a DataRate cannot be added to a
+// TimeDelta, and every boundary to the raw simulator/packet world is an
+// explicit accessor call.
 //
 // Conventions: rates are carried in packets/second (the simulator's native
 // pacing unit; bits/second converts through the packet size at the edge),
-// times in seconds since simulation start.
+// durations in seconds.
 #pragma once
 
 #include <type_traits>
@@ -43,31 +41,6 @@ class TimeDelta {
   double s_ = 0.0;
 };
 
-/// An absolute simulated instant (seconds since simulation start).
-class Timestamp {
- public:
-  constexpr Timestamp() = default;
-  [[nodiscard]] static constexpr Timestamp seconds(double s) noexcept { return Timestamp(s); }
-  [[nodiscard]] static constexpr Timestamp zero() noexcept { return Timestamp(0.0); }
-
-  [[nodiscard]] constexpr double seconds() const noexcept { return s_; }
-
-  constexpr Timestamp operator+(TimeDelta d) const noexcept {
-    return Timestamp(s_ + d.seconds());
-  }
-  constexpr Timestamp operator-(TimeDelta d) const noexcept {
-    return Timestamp(s_ - d.seconds());
-  }
-  constexpr TimeDelta operator-(Timestamp o) const noexcept {
-    return TimeDelta::seconds(s_ - o.s_);
-  }
-  constexpr auto operator<=>(const Timestamp&) const = default;
-
- private:
-  constexpr explicit Timestamp(double s) noexcept : s_(s) {}
-  double s_ = 0.0;
-};
-
 /// A sending rate in packets/second. bits/second converts at the edge
 /// through the packet size, where the byte count is actually known.
 class DataRate {
@@ -75,10 +48,6 @@ class DataRate {
   constexpr DataRate() = default;
   [[nodiscard]] static constexpr DataRate packets_per_second(double pps) noexcept {
     return DataRate(pps);
-  }
-  [[nodiscard]] static constexpr DataRate bits_per_second(double bps,
-                                                          double packet_bytes) noexcept {
-    return DataRate(bps / (8.0 * packet_bytes));
   }
   [[nodiscard]] static constexpr DataRate zero() noexcept { return DataRate(0.0); }
 
@@ -88,11 +57,6 @@ class DataRate {
   }
   [[nodiscard]] constexpr bool is_zero() const noexcept { return pps_ == 0.0; }
 
-  /// Packets emitted over a duration (rate × time — the only rate/time
-  /// product with a meaning).
-  [[nodiscard]] constexpr double packets_over(TimeDelta d) const noexcept {
-    return pps_ * d.seconds();
-  }
   /// Pacing gap between back-to-back packets at this rate.
   [[nodiscard]] constexpr TimeDelta packet_interval() const noexcept {
     return TimeDelta::seconds(1.0 / pps_);
@@ -122,9 +86,8 @@ constexpr TimeDelta operator*(double k, TimeDelta d) noexcept { return d * k; }
 }
 
 static_assert(std::is_trivially_copyable_v<TimeDelta>);
-static_assert(std::is_trivially_copyable_v<Timestamp>);
 static_assert(std::is_trivially_copyable_v<DataRate>);
-static_assert(sizeof(TimeDelta) == 8 && sizeof(Timestamp) == 8 && sizeof(DataRate) == 8,
+static_assert(sizeof(TimeDelta) == 8 && sizeof(DataRate) == 8,
               "typed units must stay zero-cost wrappers over one double");
 
 }  // namespace ebrc::util

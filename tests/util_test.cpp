@@ -17,9 +17,8 @@ namespace {
 
 using namespace ebrc::util;
 
-TEST(Math, SquareAndCube) {
+TEST(Math, Square) {
   EXPECT_DOUBLE_EQ(sq(3.0), 9.0);
-  EXPECT_DOUBLE_EQ(cube(2.0), 8.0);
   EXPECT_EQ(sq(-4), 16);
 }
 
@@ -29,11 +28,10 @@ TEST(Math, Close) {
   EXPECT_TRUE(close(1e12, 1e12 + 1.0, 1e-9));  // relative scaling
 }
 
-TEST(Math, ClampAndLerp) {
+TEST(Math, Clamp) {
   EXPECT_DOUBLE_EQ(clamp(5.0, 0.0, 1.0), 1.0);
   EXPECT_DOUBLE_EQ(clamp(-5.0, 0.0, 1.0), 0.0);
   EXPECT_DOUBLE_EQ(clamp(0.5, 0.0, 1.0), 0.5);
-  EXPECT_DOUBLE_EQ(lerp(2.0, 4.0, 0.5), 3.0);
 }
 
 TEST(Cli, ParsesFlagsAndValues) {
