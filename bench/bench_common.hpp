@@ -120,7 +120,7 @@ struct BenchArgs {
       cli.know("duration");
       if (cli.has("duration")) {
         const double d = cli.get("duration", 0.0);
-        if (!(d > 0)) throw std::invalid_argument("--duration must be > 0 seconds");
+        if (d <= 0) throw std::invalid_argument("--duration must be > 0 seconds");
         duration_override = d;
       }
     }
@@ -175,10 +175,10 @@ struct BenchArgs {
       max_retries = cli.get("max-retries", 0);
       if (max_retries < 0) throw std::invalid_argument("--max-retries must be >= 0");
       retry_backoff_s = cli.get("retry-backoff", 0.0);
-      if (!(retry_backoff_s >= 0)) throw std::invalid_argument("--retry-backoff must be >= 0");
+      if (retry_backoff_s < 0) throw std::invalid_argument("--retry-backoff must be >= 0");
       if (cli.has("cell-deadline")) {
         cell_deadline_s = cli.get("cell-deadline", 0.0);
-        if (!(cell_deadline_s > 0)) {
+        if (cell_deadline_s <= 0) {
           throw std::invalid_argument("--cell-deadline must be > 0 seconds");
         }
       }
@@ -198,7 +198,7 @@ struct BenchArgs {
       cli.know("probe-interval").know("trace-out");
       if (cli.has("probe-interval")) {
         probe_interval_s = cli.get("probe-interval", 0.0);
-        if (!(probe_interval_s > 0)) {
+        if (probe_interval_s <= 0) {
           throw std::invalid_argument("--probe-interval must be > 0 simulated seconds");
         }
       }

@@ -93,10 +93,12 @@ std::vector<const FlowStats*> ExperimentResult::of_kind(const std::string& kind)
 }
 
 ExperimentResult run_experiment(const Scenario& sc, const obs::RunObs* ro) {
+  // NaN compares false against the warm-up, so the ordering check alone
+  // would let it through.
   if (!std::isfinite(sc.duration_s) || !std::isfinite(sc.warmup_s)) {
     throw std::invalid_argument("run_experiment: duration_s and warmup_s must be finite");
   }
-  if (!(sc.duration_s > sc.warmup_s)) {
+  if (sc.duration_s <= sc.warmup_s) {
     throw std::invalid_argument("run_experiment: duration must exceed warmup");
   }
   sim::Simulator sim;
